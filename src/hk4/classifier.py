@@ -17,12 +17,14 @@ killed candidate in the trace.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
 from importlib import resources
 from math import isqrt
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .fujiki import (
     ADMISSIBLE_288AX,
@@ -119,36 +121,42 @@ def sqrt_gate(a: int, killed: Optional[list] = None) -> list[Q]:
 def gamma_search(a: int, A_X: Q, killed: Optional[list] = None) -> list[ClassifierState]:
     """Scan the finite b-window (beta - a/2, beta + a/2] forced by gamma in (-1, 1].
 
-    Candidates step by 1 from the residue forced by a/2 + b in Z (so b = k - a/2
-    with k an integer in (beta, beta + a]); each candidate is kept iff
+    Candidates step by 1 from the residue forced by a/2 + b in Z, so b = k - a/2
+    with k one of the a integers floor(beta) + 1, ..., floor(beta) + a, which are
+    exactly the integers in (beta, beta + a].  Each candidate is kept iff
     4 A_X - b^2/(2a) is an integer, which makes c = 3 - that value integral.
+    With m = 2k - a (so b = m/2) and p/q = 32 a A_X in lowest terms,
+    4 A_X - b^2/(2a) = (p - q m^2) / (8 a q), so the test runs on integers and
+    Fractions are built only for what the states and the kill list store.
     Killed candidates go to `killed` as (b, defect).
     """
     A_X = Q(A_X)
     beta = sqrt_rational(8 * a * A_X)
     if beta is None:
         raise ValueError("gamma_search requires sqrt(2aA_X) rational; run sqrt_gate first")
+    scaled = 32 * a * A_X
+    p, q = scaled.numerator, scaled.denominator
+    den = 8 * a * q
     states = []
     k0 = math.floor(beta) + 1
-    for k in range(k0, k0 + a):
-        if not (beta < k <= beta + a):
-            continue
-        b = k - Q(a, 2)
-        defect = 4 * A_X - b * b / (2 * a)  # equals 3 - c
-        if is_integer(defect):
+    for m in range(2 * k0 - a, 2 * k0 + a, 2):
+        num = p - q * m * m
+        if num % den == 0:
+            b = Q(m, 2)
             gamma = 2 * (b - beta) / a
             states.append(
-                ClassifierState(a=a, A_X=A_X, beta=beta, gamma=gamma, b=b, c=3 - defect)
+                ClassifierState(a=a, A_X=A_X, beta=beta, gamma=gamma, b=b, c=Q(3 - num // den))
             )
         elif killed is not None:
-            killed.append((b, defect))
+            killed.append((Q(m, 2), Q(num, den)))
     return states
 
 
-def admissible_qlm(
-    a: int, A_X: Q, gamma: Q, killed: Optional[list] = None
-) -> dict[int, QOption]:
+def admissible_qlm(a: int, A_X: Q, killed: Optional[list] = None) -> dict[int, QOption]:
     """Decide which pairing values q = q(l, m) the value model admits.
+
+    The answer depends on (a, A_X) only, not on the b-window state, so
+    `classify` calls this once per A_X that has states.
 
     For each q, c_X = 3a/q^2 and the Riemann-Roch polynomial must take
     integer values on the set of values of the quadratic form; the engine
@@ -202,27 +210,41 @@ def load_betti_table(path: Optional[str] = None) -> list[dict]:
     return data
 
 
-def _betti_candidates(A_X: Q) -> list[tuple[int, int, int]]:
-    """All (b2, b3, b4) the built-in constraints admit for this A_X.
+@functools.cache
+def _betti_grid() -> Mapping[Q, tuple[tuple[int, int, int], ...]]:
+    """Violation-free (b2, b3, b4) of the built-in grid, grouped by A_X.
 
-    Scans b2 = 23 and 3 <= b2 <= 8 with b3 even and c4 >= 0; a candidate must
-    produce a violation-free profile whose A_X matches.
+    Scans b2 in 3..8 and then b2 = 23, with b3 even and c4 >= 0, once per
+    process; each A_X keeps its triples in scan order.  The cached map is
+    read-only and holds tuples, so no caller can change it.
     """
-    found = []
+    grid: dict[Q, list[tuple[int, int, int]]] = {}
     for b2 in list(range(3, 9)) + [23]:
         for b3 in range(0, 4 * b2 + 17, 2):
             try:
                 prof = betti_profile(b2, b3)
             except ValueError:
                 continue
-            if prof.violations or prof.A_X != A_X:
-                continue
-            found.append(prof.triple)
-    return found
+            if not prof.violations:
+                grid.setdefault(prof.A_X, []).append(prof.triple)
+    return MappingProxyType({ax: tuple(triples) for ax, triples in grid.items()})
+
+
+def _betti_candidates(A_X: Q) -> tuple[tuple[int, int, int], ...]:
+    """All (b2, b3, b4) the built-in constraints admit for this A_X.
+
+    A candidate is a violation-free profile of the grid in `_betti_grid`
+    whose A_X matches; the grid is scanned once, and this is a lookup.
+    """
+    return _betti_grid().get(Q(A_X), ())
 
 
 def betti_options_for(A_X: Q, table: Sequence[dict]) -> tuple[list, list]:
-    """Split the built-in candidate triples into (listed in data file, builtin only)."""
+    """Split the built-in candidate triples into (listed in data file, builtin only).
+
+    Depends on A_X and the table only; `classify` calls it once per A_X
+    that has an admitted q(l, m).
+    """
     listed_pairs = {(int(e["b2"]), int(e["b3"])) for e in table}
     in_table, builtin_only = [], []
     for triple in _betti_candidates(Q(A_X)):
@@ -240,6 +262,10 @@ def classify(
     Returns EMPTY with the complete kill trace, or the surviving solutions
     with their admitted pairings, forced Fujiki constants, value polynomials,
     and Betti options from the data table.
+
+    q-admissibility and the Betti options depend on (a, A_X) only, so each is
+    computed once per A_X; the trace still lists the q-kills once per state,
+    each entry carrying that state's gamma.
     """
     if a < 1:
         raise ValueError("a must be a positive integer")
@@ -279,7 +305,7 @@ def classify(
         gamma_kills: list = []
         states = gamma_search(a, ax, killed=gamma_kills)
         for b, defect in gamma_kills:
-            if is_integer(b) and int(b) % 2 == 0:
+            if b.denominator == 1 and b.numerator % 2 == 0:
                 killed_even_b = True
             trace.append(
                 TraceEntry(
@@ -289,9 +315,14 @@ def classify(
                     value=f"{defect}",
                 )
             )
+        if not states:
+            continue
+        q_kills: list = []
+        q_options = admissible_qlm(a, ax, killed=q_kills)
+        admitted = tuple(q_options[q] for q in sorted(q_options))
+        if admitted:
+            in_table, builtin_only = map(tuple, betti_options_for(ax, betti_table))
         for state in states:
-            q_kills: list = []
-            q_options = admissible_qlm(a, ax, state.gamma, killed=q_kills)
             for q, parity, reason in q_kills:
                 trace.append(
                     TraceEntry(
@@ -301,7 +332,7 @@ def classify(
                         value=reason,
                     )
                 )
-            if not q_options:
+            if not admitted:
                 trace.append(
                     TraceEntry(
                         stage="admissible_qlm",
@@ -311,13 +342,12 @@ def classify(
                     )
                 )
                 continue
-            in_table, builtin_only = betti_options_for(ax, betti_table)
             solutions.append(
                 Solution(
                     state=state,
-                    q_options=tuple(q_options[q] for q in sorted(q_options)),
-                    betti_options=tuple(in_table),
-                    betti_builtin_only=tuple(builtin_only),
+                    q_options=admitted,
+                    betti_options=in_table,
+                    betti_builtin_only=builtin_only,
                 )
             )
 

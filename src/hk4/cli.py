@@ -60,7 +60,7 @@ def _cert_star() -> dict:
     }
     out = {"status": "PASS"}
     for key, (a, ax) in cases.items():
-        opts = classifier.admissible_qlm(a, ax, Q(0))
+        opts = classifier.admissible_qlm(a, ax)
         out[key] = {
             "q_set": sorted(opts),
             "options": {

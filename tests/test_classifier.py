@@ -1,10 +1,17 @@
 """Bounded case analysis: gates, window scans, full classification per a."""
 
-import pytest
+import hashlib
+import math
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hk4 import classifier
 from hk4.classifier import (
     EVEN,
     UNCONSTRAINED,
+    _betti_grid,
     admissible_qlm,
     betti_options_for,
     classify,
@@ -14,7 +21,49 @@ from hk4.classifier import (
     sqrt_gate,
     squarefree_a_filter,
 )
-from hk4.rationals import Q, is_integer
+from hk4.cli import case_report_json
+from hk4.fujiki import admissible_ax_values, betti_profile
+from hk4.rationals import Q, is_integer, sqrt_rational
+from hk4.report import dumps_canonical
+
+#: a <= 3000 that pass the sqrt gate, the only ones with a b-window to scan.
+GATED_A = [a for a in range(1, 3001) if sqrt_gate(a)]
+
+
+def reference_gamma_search(a, A_X):
+    """Independent cross-check: the b-window scan in Fraction arithmetic.
+
+    Returns ([(b, c, gamma)], [(b, defect)]) for survivors and kills, from
+    defect = 4*A_X - b*b/(2*a) evaluated per candidate.
+    """
+    beta = sqrt_rational(8 * a * A_X)
+    states, killed = [], []
+    k0 = math.floor(beta) + 1
+    for k in range(k0, k0 + a):
+        if not (beta < k <= beta + a):
+            continue
+        b = k - Q(a, 2)
+        defect = 4 * A_X - b * b / (2 * a)
+        if is_integer(defect):
+            states.append((b, 3 - defect, 2 * (b - beta) / a))
+        else:
+            killed.append((b, defect))
+    return states, killed
+
+
+def reference_betti_candidates(A_X):
+    """Independent cross-check: scan the whole Betti grid for one A_X."""
+    found = []
+    for b2 in list(range(3, 9)) + [23]:
+        for b3 in range(0, 4 * b2 + 17, 2):
+            try:
+                prof = betti_profile(b2, b3)
+            except ValueError:
+                continue
+            if prof.violations or prof.A_X != A_X:
+                continue
+            found.append(prof.triple)
+    return found
 
 
 class TestSqrtGate:
@@ -79,33 +128,44 @@ class TestGammaSearch:
         with pytest.raises(ValueError):
             gamma_search(1, Q(241, 288))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(GATED_A))
+    def test_integer_window_matches_fraction_reference(self, a):
+        for ax in sqrt_gate(a):
+            killed = []
+            states = gamma_search(a, ax, killed=killed)
+            ref_states, ref_killed = reference_gamma_search(a, ax)
+            assert [(s.b, s.c, s.gamma) for s in states] == ref_states
+            assert killed == ref_killed
+            assert all(type(x) is Q for pair in killed for x in pair)
+
 
 class TestAdmissibleQlm:
     def test_a1(self):
-        opts = admissible_qlm(1, Q(25, 32), Q(0))
+        opts = admissible_qlm(1, Q(25, 32))
         assert sorted(opts) == [1]
         assert opts[1].parity == EVEN and opts[1].c_X == 3
 
     def test_a3(self):
-        opts = admissible_qlm(3, Q(27, 32), Q(0))
+        opts = admissible_qlm(3, Q(27, 32))
         assert sorted(opts) == [1]
         assert opts[1].parity == EVEN and opts[1].c_X == 9
         assert opts[1].rr.base.coeffs == (3, Q(9, 4), Q(3, 8))
 
     def test_a4(self):
-        opts = admissible_qlm(4, Q(25, 32), Q(0))
+        opts = admissible_qlm(4, Q(25, 32))
         assert sorted(opts) == [1, 2]
         assert opts[1].parity == UNCONSTRAINED and opts[1].c_X == 12
         assert opts[2].parity == EVEN and opts[2].c_X == 3
 
     def test_rejected_parity_has_witness(self):
         killed = []
-        admissible_qlm(1, Q(25, 32), Q(0), killed=killed)
+        admissible_qlm(1, Q(25, 32), killed=killed)
         assert any(q == 1 and parity == "ODD" and "P_RR(" in why for q, parity, why in killed)
 
     def test_admitted_even_options_take_integer_values_on_even_grid(self):
         for a, ax in ((1, Q(25, 32)), (3, Q(27, 32)), (4, Q(25, 32))):
-            for opt in admissible_qlm(a, ax, Q(0)).values():
+            for opt in admissible_qlm(a, ax).values():
                 for t in range(-20, 21, 2):
                     assert is_integer(opt.rr(t))
 
@@ -173,6 +233,33 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(0)
 
+    @pytest.mark.parametrize(
+        "a, digest",
+        [
+            (4, "e44bffd47e357b0fae367cf4698d6ddcbe256e5fa943d05ed02ab213b838e688"),
+            (36, "96d041047629c553111da723469843472c953aa873a23881fc28d93cfbdc4174"),
+            (100, "d41bbdae84e06e1d05887d80995ddf5803852bcfa80995cfb14b69d1a01b6465"),
+            (1000, "b1f31cea9c026c60215dd3c9776d7f5724592bc2e8b476e6cb4782037358ef68"),
+        ],
+    )
+    def test_canonical_json_is_pinned(self, a, digest):
+        text = dumps_canonical(case_report_json(classify(a)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_per_ax_work_runs_once(self, monkeypatch):
+        calls = {"admissible_qlm": 0, "betti_options_for": 0}
+        for name in calls:
+            orig = getattr(classifier, name)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                calls[_name] += 1
+                return _orig(*args, **kwargs)
+
+            monkeypatch.setattr(classifier, name, counted)
+        rep = classify(36)  # two A_X, with 6 and 2 states
+        assert len(rep.solutions) == 8
+        assert calls == {"admissible_qlm": 2, "betti_options_for": 2}
+
 
 class TestBettiOptions:
     def test_split_for_kummer_ax(self):
@@ -186,6 +273,27 @@ class TestBettiOptions:
         in_table, builtin_only = betti_options_for(Q(25, 32), table)
         assert in_table == [(23, 0, 276)]
         assert builtin_only == []
+
+    @pytest.mark.parametrize("ax", list(admissible_ax_values()) + [Q(1, 2)])
+    def test_grid_lookup_matches_per_ax_scan(self, ax):
+        table = load_betti_table()
+        listed = {(e["b2"], e["b3"]) for e in table}
+        expected = reference_betti_candidates(ax)
+        in_table, builtin_only = betti_options_for(ax, table)
+        assert in_table == [t for t in expected if t[:2] in listed]
+        assert builtin_only == [t for t in expected if t[:2] not in listed]
+
+    def test_cached_grid_cannot_be_mutated_through_results(self):
+        grid = _betti_grid()
+        assert all(type(v) is tuple for v in grid.values())
+        with pytest.raises(TypeError):
+            grid[Q(1, 2)] = ()
+        in_table, _ = betti_options_for(Q(27, 32), load_betti_table())
+        in_table.append((0, 0, 0))
+        assert (0, 0, 0) not in grid[Q(27, 32)]
+        assert betti_options_for(Q(27, 32), load_betti_table())[0] == [
+            (5, 0, 96), (6, 4, 102), (7, 8, 108)
+        ]
 
 
 class TestFilters:
