@@ -3,7 +3,7 @@
 
 Usage: python scripts/run_certification.py [out.json]
 
-Equivalent to `hk4 report --json out.json --jobs 4` plus a human summary of
+Equivalent to `hk4 report --json out.json` plus a human summary of
 which certificates reproduced their expected values.
 """
 
@@ -12,6 +12,6 @@ import sys
 from hk4.cli import main
 
 out = sys.argv[1] if len(sys.argv) > 1 else "certification_report.json"
-code = main(["report", "--json", out, "--jobs", "4"])
+code = main(["report", "--json", out])
 print(f"\nreport written to {out}; exit code {code}", file=sys.stderr)
 sys.exit(code)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from math import isqrt
 from types import MappingProxyType
@@ -66,11 +66,11 @@ class ClassifierState:
     gamma: Q
     b: Q
     c: Q
+    #: P(k) = (a/2) k^2 + b k + c; integer valued on Z by construction.
+    value_poly: RatPoly = field(init=False, repr=False, compare=False)
 
-    @property
-    def value_poly(self) -> RatPoly:
-        """P(k) = (a/2) k^2 + b k + c; integer valued on Z by construction."""
-        return RatPoly((self.c, self.b, Q(self.a, 2)))
+    def __post_init__(self):
+        object.__setattr__(self, "value_poly", RatPoly((self.c, self.b, Q(self.a, 2))))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Optional, Sequence, Union
 
 from .fujiki import fujiki4_pairing
 from .lattices import U, U2
-from .rationals import Q, RatPoly, divisors, is_integer, sqrt_rational
+from .rationals import Q, RatPoly, det_cofactor, divisors, is_integer, sqrt_rational
 
 B2 = 23
 QDUAL_NS = B2 + 2  # <q-dual, alpha*beta> = 25 q(alpha, beta)
@@ -179,20 +179,6 @@ def _quadratic_in_w(f) -> RatPoly:
 # resultants over nested polynomial rings (used by the Lagrangian-plane check)
 
 
-def _ring_det(mat, zero):
-    n = len(mat)
-    if n == 1:
-        return mat[0][0]
-    total = zero
-    for c, entry in enumerate(mat[0]):
-        if not entry:
-            continue
-        minor = [row[:c] + row[c + 1 :] for row in mat[1:]]
-        term = entry * _ring_det(minor, zero)
-        total = total + (term if c % 2 == 0 else -term)
-    return total
-
-
 def resultant(p: Sequence, q: Sequence, zero) -> object:
     """Sylvester resultant of two polynomials given low-first over any exact ring."""
     p = list(p)
@@ -211,7 +197,7 @@ def resultant(p: Sequence, q: Sequence, zero) -> object:
         rows.append([zero] * i + ph + [zero] * (size - m - 1 - i))
     for i in range(m):
         rows.append([zero] * i + qh + [zero] * (size - n - 1 - i))
-    return _ring_det(rows, zero)
+    return det_cofactor(rows, zero)
 
 
 def primitive_integer_form(p: RatPoly) -> tuple[RatPoly, int]:

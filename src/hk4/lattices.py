@@ -115,7 +115,8 @@ def hyperbolic_pair_normalize(q_l: int, q_m: int, q_lm: int) -> PairNormalizatio
     # choose r with q_m + 2 r p in (-p, p]
     r = -((q_m + p - 1) // (2 * p))
     new_qm = q_m + 2 * r * p
-    assert -p < new_qm <= p
+    if not -p < new_qm <= p:
+        raise AssertionError(f"normalized q(m) = {new_qm} outside the window (-{p}, {p}]")
     return PairNormalization(gamma=Q(new_qm, p), sign_flip=flip, shift=r, q_lm=p, q_m=new_qm)
 
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .fujiki import fujiki4_pairing, rr_from_cx_ax
 from .lattices import U
-from .rationals import Q, RatPoly, binom
+from .rationals import Q, det_cofactor
 
 #: Riemann-Roch polynomial of the hyperbolic model: binom(T/2 + 3, 2).
 RR = rr_from_cx_ax(3, Q(25, 32))
@@ -87,11 +87,14 @@ _PINNED = (
 
 
 def chi_table() -> SectionCountLedger:
-    """The pinned chi ledger: chi(p, q) = P_RR(2pq) = binom(pq + 3, 2)."""
+    """The pinned chi ledger: chi(p, q) = P_RR(2pq).
+
+    That this equals binom(pq + 3, 2) is the claim of the ``chi-table``
+    certificate, checked there and not here.
+    """
     entries = []
     for p, q, src in _PINNED:
         val = RR(2 * p * q)
-        assert val == binom(p * q + 3, 2)
         entries.append(LedgerEntry(p=p, q=q, bbf_value=2 * p * q, chi=val, h0_source=src))
     ledger = SectionCountLedger(
         entries=tuple(entries),
@@ -171,7 +174,11 @@ def segre_row(i: int) -> tuple[int, ...]:
 
 
 def _det_fraction_free(rows) -> int:
-    """Bareiss fraction-free determinant of an integer matrix."""
+    """Bareiss fraction-free determinant of an integer matrix.
+
+    A deliberately independent second method: ``segre_certificate`` checks it
+    against the cofactor expansion ``det_cofactor``.
+    """
     m = [list(r) for r in rows]
     n = len(m)
     sign = 1
@@ -188,20 +195,6 @@ def _det_fraction_free(rows) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
-
-
-def _det_cofactor(rows) -> int:
-    rows = [list(r) for r in rows]
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for c in range(n):
-        if rows[0][c] == 0:
-            continue
-        minor = [r[:c] + r[c + 1 :] for r in rows[1:]]
-        total += (-1) ** c * rows[0][c] * _det_cofactor(minor)
-    return total
 
 
 @dataclass(frozen=True)
@@ -227,7 +220,7 @@ def segre_certificate() -> SegreSystem:
     numbers vanish -- which is impossible against an ample H.
     """
     rows = tuple(segre_row(i) for i in range(8, 12))
-    d_cof = _det_cofactor(rows)
+    d_cof = det_cofactor(rows)
     d_ff = _det_fraction_free(rows)
     if d_cof != d_ff:
         raise AssertionError("determinant methods disagree")
@@ -314,7 +307,8 @@ def bott_p2(q: int, d: int) -> tuple[int, int, int]:
     h1 = _h0_o(d) - rank
     chi = 3 * _chi_o(d - 1) - _chi_o(d)
     h2 = chi - h0 + h1
-    assert h0 >= 0 and h1 >= 0 and h2 >= 0
+    if min(h0, h1, h2) < 0:
+        raise AssertionError(f"negative cohomology dimension {(h0, h1, h2)} for q=1, d={d}")
     return (h0, h1, h2)
 
 
@@ -384,7 +378,8 @@ def mukai_solve() -> MukaiSolveReport:
     if 4 + s_prime - 2 * s != chi_E_down:
         raise ValueError("inconsistent chi inputs for the Mukai solve")
     v = MukaiVector(rank=2, c1_coeff=s, s=s_prime)
-    assert v.twist(-1).chi() == chi_E_down and v.chi() == chi_E
+    if v.twist(-1).chi() != chi_E_down or v.chi() != chi_E:
+        raise AssertionError("the solved Mukai vector does not reproduce its chi inputs")
     return MukaiSolveReport(
         vector=v,
         chi_untwisted=chi_E,

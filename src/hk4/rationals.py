@@ -96,6 +96,24 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def det_cofactor(rows, zero=0):
+    """Determinant by cofactor expansion along the first row, over any exact ring.
+
+    ``zero`` is the ring's zero (``0`` for integers, ``RatPoly()`` for
+    polynomials); entries only need ``+``, ``-``, ``*`` and truthiness.
+    """
+    if len(rows) == 1:
+        return rows[0][0]
+    total = zero
+    for c, entry in enumerate(rows[0]):
+        if not entry:
+            continue
+        minor = [row[:c] + row[c + 1 :] for row in rows[1:]]
+        term = entry * det_cofactor(minor, zero)
+        total = total + (term if c % 2 == 0 else -term)
+    return total
+
+
 class RatPoly:
     """Polynomial with exact coefficients, lowest degree first.
 

@@ -29,11 +29,7 @@ def to_jsonable(obj):
     if isinstance(obj, RatPoly):
         return {"coeffs": [to_jsonable(c) for c in obj.coeffs], "pretty": obj.pretty()}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        out = {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-        for prop in ("value_poly",):
-            if hasattr(type(obj), prop):
-                out[prop] = to_jsonable(getattr(obj, prop))
-        return out
+        return {f.name: to_jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (frozenset, set)):

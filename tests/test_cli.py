@@ -1,12 +1,16 @@
-"""CLI behavior: exit codes, JSON determinism, parallel order independence."""
+"""CLI behavior: exit codes, JSON determinism, order independence, the certificate table."""
 
+import dataclasses
+import hashlib
+import inspect
 import json
 import subprocess
 import sys
 
 import pytest
 
-from hk4.cli import CERTIFICATES, main, run_scenario, run_suite
+from hk4 import ledger
+from hk4.cli import CERTIFICATES, main, run_certificate, run_scenario, run_suite
 from hk4.report import dumps_canonical, to_jsonable
 
 
@@ -15,6 +19,9 @@ def run_cli(*args):
         [sys.executable, "-m", "hk4", *args], capture_output=True, text=True, timeout=60
     )
 
+
+#: sha256 of the file written by ``hk4 report --json PATH`` (the same bytes go to stdout).
+REPORT_SHA256 = "78bfa3fe40bb3986df12535a9f5c625a221692ed825d73a1a32361d3fa534db4"
 
 K3SQ = {
     "n": 2,
@@ -81,12 +88,11 @@ class TestVerifyCommand:
         assert res.returncode == 0
         assert "sigma-split: UNSAT-as-expected" in res.stdout
 
-    def test_parallel_order_independent(self):
+    def test_order_independent(self):
         names = sorted(CERTIFICATES)
-        serial = dumps_canonical(run_suite(names, jobs=1))
-        parallel = dumps_canonical(run_suite(names, jobs=4))
-        reversed_ = dumps_canonical(run_suite(list(reversed(names)), jobs=2))
-        assert serial == parallel == reversed_
+        forward = dumps_canonical(run_suite(names))
+        reversed_ = dumps_canonical(run_suite(list(reversed(names))))
+        assert forward == reversed_
 
 
 class TestScenarioCommand:
@@ -186,6 +192,13 @@ class TestReportCommand:
         text = out.read_text()
         assert dumps_canonical(json.loads(text)) == text
 
+    def test_report_digest_pinned(self, tmp_path):
+        out = tmp_path / "report.json"
+        res = run_cli("report", "--json", str(out))
+        assert res.returncode == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256
+        assert res.stdout == out.read_text()
+
     def test_deterministic_across_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("report", "--json", str(a))
@@ -208,3 +221,40 @@ class TestMainInProcess:
         out = capsys.readouterr().out
         assert "segre: FAIL" in out
         assert "expected 1, computed 70785" in out
+
+
+class TestCertificateTable:
+    @pytest.mark.parametrize("name", sorted(CERTIFICATES))
+    def test_entry_is_zero_argument_callable_with_status(self, name):
+        cert = CERTIFICATES[name]
+        assert callable(cert)
+        assert not inspect.signature(cert).parameters
+        values = cert()
+        assert isinstance(values, dict)
+        assert "status" in values
+
+    def test_status_derived_from_claim(self, monkeypatch, capsys):
+        # with no pinned expectations left, only the claim can fail the certificate
+        import hk4.cli as cli
+
+        real = ledger.koszul_counts()
+        monkeypatch.setattr(
+            ledger, "koszul_counts", lambda: dataclasses.replace(real, contradiction=False)
+        )
+        monkeypatch.setattr(cli, "load_expectations", lambda: {})
+        res = run_certificate("castelnuovo")
+        assert res["values"]["status"] == "FAIL"
+        assert res["result"] == "FAIL"
+        assert main(["verify", "castelnuovo"]) == 1
+        assert "castelnuovo: FAIL" in capsys.readouterr().out
+
+    def test_chi_table_claim_fails_on_a_wrong_chi(self, monkeypatch):
+        import hk4.cli as cli
+
+        real = ledger.chi_table()
+        first, *rest = real.entries
+        bad = dataclasses.replace(real, entries=(dataclasses.replace(first, chi=first.chi + 1), *rest))
+        monkeypatch.setattr(ledger, "chi_table", lambda: bad)
+        monkeypatch.setattr(cli, "load_expectations", lambda: {})
+        assert run_certificate("chi-table")["result"] == "FAIL"
+        assert main(["verify", "chi-table"]) == 1

@@ -1,0 +1,23 @@
+"""Properties of the engine source itself."""
+
+import ast
+from pathlib import Path
+
+import hk4
+
+SOURCES = sorted(Path(hk4.__file__).parent.glob("*.py"))
+
+
+def test_sources_found():
+    assert {p.name for p in SOURCES} >= {"cli.py", "h4.py", "ledger.py", "lattices.py"}
+
+
+def test_no_assert_statements():
+    # `python -O` strips assert statements, so no check may rely on one
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
