@@ -3,8 +3,10 @@
 
 Usage: python scripts/run_certification.py [out.json]
 
-Equivalent to `hk4 report --json out.json` plus a human summary of
-which certificates reproduced their expected values.
+Runs `hk4 report --json out.json` in process: the canonical JSON report goes
+to stdout and to out.json (default certification_report.json), then one line
+on stderr names the file and the exit code.  Per-certificate verdicts are in
+the report's "certificates" block; `hk4 verify all` prints them one per line.
 """
 
 import sys

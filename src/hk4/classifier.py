@@ -36,7 +36,6 @@ from .fujiki import (
 from .rationals import (
     Q,
     RatPoly,
-    integer_valued_on,
     integrality_witness,
     is_integer,
     is_perfect_square,
@@ -177,20 +176,16 @@ def admissible_qlm(a: int, A_X: Q, killed: Optional[list] = None) -> dict[int, Q
             if killed is not None:
                 killed.append((q, "ANY", f"sqrt({rr.non_square}) irrational"))
             continue
-        odd_ok = integer_valued_on(rr.base, 1, 0)
-        even_ok = odd_ok or integer_valued_on(rr.base, 2, 0)
-        if odd_ok:
-            parity = UNCONSTRAINED
-        elif even_ok:
-            parity = EVEN
+        odd_w = integrality_witness(rr.base, 1, 0)
+        even_w = None if odd_w is None else integrality_witness(rr.base, 2, 0)
+        if even_w is not None:
             if killed is not None:
-                w = integrality_witness(rr.base, 2, 1)
-                killed.append((q, "ODD", f"P_RR({w}) not an integer"))
-        else:
-            if killed is not None:
-                w = integrality_witness(rr.base, 2, 0)
-                killed.append((q, "EVEN", f"P_RR({w}) not an integer"))
+                killed.append((q, "EVEN", f"P_RR({even_w}) not an integer"))
             continue
+        parity = UNCONSTRAINED if odd_w is None else EVEN
+        if odd_w is not None and killed is not None:
+            # every even value is integral, so the first non-integral value is at an odd T
+            killed.append((q, "ODD", f"P_RR({odd_w}) not an integer"))
         out[q] = QOption(q_lm=q, c_X=c_X, parity=parity, rr=rr)
     return out
 

@@ -1,21 +1,22 @@
 """Command-line driver: classify, verify, scenario, ledger, report.
 
 Exit-code contract: 0 = run completed and every expected verdict reproduced;
-1 = a certificate diverged from its expected value; 2 = usage error;
-3 = scenario precondition violation (q(l) != 0 or q(l, m) = 0).
+1 = a certificate diverged from its expected value; 2 = usage error or
+malformed input; 3 = scenario precondition violation (q(l) != 0, q(l, m) = 0,
+or a not a positive integer).  Every outside input (arguments, scenario file,
+overrides, Betti data, the --json path) is parsed at one boundary that raises
+``InputError``, and ``main`` alone turns it into one ``error:`` line and the
+exit code.  Each command serializes its payload at most once, in ``_emit``.
 
 The 15 certificates form one table, ``CERTIFICATES``: each entry names the
 engine computation, the claim its result must satisfy and the fields it
 reports.  One rule, ``Certificate.status``, sets every status: the three h4
 refutations report the engine's own UNSAT or SAT, every other certificate
 reports PASS when its claim holds and FAIL when it does not, and an entry
-whose only check is its pinned expected values has ``claim=None``.
-
-The expected values live in a version-controlled expectations file
-(data/expectations.json), separate from the code, so a diff between computed
-and expected values is a first-class artifact, not a hidden assertion.
-Certificates run serially, in one thread: they are pure-Python exact
-arithmetic, so a thread pool only adds overhead.
+whose only check is its pinned expected values has ``claim=None``.  The
+expected values live in data/expectations.json, separate from the code, so a
+diff between computed and expected values is a first-class artifact.
+Certificates run serially: pure-Python exact arithmetic gains nothing from threads.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from dataclasses import dataclass
 from importlib import resources
+from pathlib import Path
 from typing import Any, Callable, Optional
 
 from . import classifier, fujiki, h4, lattices, ledger
-from .rationals import Q, binom, is_integer
+from .rationals import Q, binom, is_integer, rational_from_string
 from .report import approx_decimal, dumps_canonical, to_jsonable
 
 EXIT_OK = 0
@@ -343,63 +346,85 @@ def _print_case_report(report: classifier.CaseReport, decimal: bool) -> None:
             print(f"    [{t.stage}] {t.candidate} | {t.constraint} | {t.value}")
 
 
-def _write_json(path: Optional[str], payload) -> None:
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(dumps_canonical(payload))
+# ---------------------------------------------------------------------------
+# input boundary: every outside input is parsed here and fails as InputError
 
 
-class ScenarioError(Exception):
-    def __init__(self, message: str, code: int):
+class InputError(Exception):
+    """Malformed input (exit 2) or a violated precondition (exit 3); only `main` catches it."""
+
+    def __init__(self, message: str, code: int = EXIT_USAGE):
         super().__init__(message)
         self.code = code
 
 
-def _scenario_schema(doc) -> tuple[int, lattices.QuadLattice, tuple, tuple, dict]:
-    if not isinstance(doc, dict):
-        raise ScenarioError("scenario must be a JSON object", EXIT_USAGE)
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
+def _load(what: str, read: Callable[[Optional[str]], Any], path: Optional[str]):
+    """Read one input file; failing to open, decode or validate it is malformed input."""
     try:
-        n = int(doc["n"])
+        return read(path)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise InputError(f"cannot load {what} {path!r}: {exc!r}")
+
+
+def _ints(value, what: str) -> tuple:
+    if isinstance(value, list) and all(type(x) is int for x in value):
+        return tuple(value)
+    raise InputError(f"scenario schema violation: {what} must be a list of integers")
+
+
+def _rational(value, what: str) -> Q:
+    try:
+        return Q(value) if type(value) is int else rational_from_string(value)
+    except (TypeError, ValueError):
+        raise InputError(f'{what} must be an integer or a "p/q" string, got {value!r}')
+
+
+def _parse_scenario(doc) -> tuple:
+    """(n, lattice, l, m, overrides, Betti path), every override parsed whatever n is."""
+    if not isinstance(doc, dict) or not {"n", "gram", "l", "m"} <= set(doc):
+        raise InputError("scenario schema violation: need an object with n, gram, l and m")
+    n, l, m, gram = doc["n"], _ints(doc["l"], "l"), _ints(doc["m"], "m"), doc["gram"]
+    if type(n) is not int or type(doc.get("rank", 0)) is not int or not isinstance(gram, list):
+        raise InputError("scenario schema violation: n and rank must be integers, gram a list")
+    for row in gram:
+        _ints(row, "gram row")
+    try:
         lat = lattices.QuadLattice.from_json(doc)
-        l = tuple(int(x) for x in doc["l"])
-        m = tuple(int(x) for x in doc["m"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"scenario schema violation: {exc}", EXIT_USAGE)
+    except ValueError as exc:
+        raise InputError(f"scenario schema violation: {exc}")
     if n < 1 or len(l) != lat.rank or len(m) != lat.rank:
-        raise ScenarioError("scenario schema violation: bad n or vector length", EXIT_USAGE)
-    overrides = doc.get("overrides", {})
-    if not isinstance(overrides, dict) or not set(overrides) <= {
-        "c_X",
-        "A_X",
-        "a",
-        "betti_data_path",
-    }:
-        raise ScenarioError("scenario schema violation: unknown override keys", EXIT_USAGE)
-    return n, lat, l, m, overrides
+        raise InputError("scenario schema violation: bad n or vector length")
+    overrides, keys = doc.get("overrides", {}), {"c_X", "A_X", "a", "betti_data_path"}
+    if not isinstance(overrides, dict) or not set(overrides) <= keys:
+        raise InputError("scenario schema violation: unknown override keys")
+    path = overrides.get("betti_data_path")
+    if "betti_data_path" in overrides and not isinstance(path, str):
+        raise InputError(f"overrides.betti_data_path must be a string, got {path!r}")
+    over = {k: _rational(v, f"overrides.{k}")
+            for k, v in overrides.items() if k != "betti_data_path"}
+    if "c_X" not in over and "a" not in over:
+        raise InputError("scenario needs overrides.c_X or overrides.a")
+    return n, lat, l, m, over, path
 
 
 def run_scenario(doc: dict, betti_path: Optional[str] = None) -> dict:
     """Normalize the pair, derive a, classify, and run the relevant certificates."""
-    n, lat, l, m, overrides = _scenario_schema(doc)
-    q_l, q_m, q_lm = lat.q(l), lat.q(m), lat.pair(l, m)
-    if q_l != 0:
-        raise ScenarioError(f"scenario precondition violated: q(l) = {q_l} != 0", EXIT_PRECONDITION)
-    if q_lm == 0:
-        raise ScenarioError("scenario precondition violated: q(l, m) = 0", EXIT_PRECONDITION)
-    norm = lattices.hyperbolic_pair_normalize(q_l, q_m, q_lm)
+    n, lat, l, m, over, over_betti_path = _parse_scenario(doc)
+    try:  # the normalization needs q(l) = 0 and q(l, m) != 0
+        norm = lattices.hyperbolic_pair_normalize(lat.q(l), lat.q(m), lat.pair(l, m))
+    except ValueError as exc:
+        raise InputError(f"scenario precondition violated: {exc}", EXIT_PRECONDITION)
 
-    c_X = Q(overrides["c_X"]) if "c_X" in overrides else None
-    if "a" in overrides:
-        a_val = Q(overrides["a"])
-    elif c_X is not None:
-        a_val = fujiki.a_from_fujiki(n, c_X, norm.q_lm)
-    else:
-        raise ScenarioError("scenario needs overrides.c_X or overrides.a", EXIT_USAGE)
+    c_X = over.get("c_X")
+    a_val = over["a"] if "a" in over else fujiki.a_from_fujiki(n, c_X, norm.q_lm)
     if not is_integer(a_val) or a_val <= 0:
-        raise ScenarioError(
-            f"scenario precondition violated: a = {a_val} is not a positive integer",
-            EXIT_PRECONDITION,
-        )
+        raise InputError(f"scenario precondition violated: a = {a_val} is not a positive integer",
+                         EXIT_PRECONDITION)
     a = int(a_val)
 
     out: dict = {
@@ -410,9 +435,8 @@ def run_scenario(doc: dict, betti_path: Optional[str] = None) -> dict:
         "degree_bound": classifier.fujiki_degree_bound(n, a),
     }
     if n == 2:
-        table = classifier.load_betti_table(betti_path or overrides.get("betti_data_path"))
-        restrict = Q(overrides["A_X"]) if "A_X" in overrides else None
-        report = classifier.classify(a, betti_table=table, restrict_ax=restrict)
+        table = _load("Betti data", classifier.load_betti_table, betti_path or over_betti_path)
+        report = classifier.classify(a, betti_table=table, restrict_ax=over.get("A_X"))
         out["classification"] = case_report_json(report)
         ids = ["guan-gate", "star", "bounds", "cones", "reflection", "bott"]
         if any(
@@ -441,89 +465,48 @@ def run_scenario(doc: dict, betti_path: Optional[str] = None) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# entry point
+# commands and the one output path
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="hk4",
-        description="Exact-arithmetic certification suite for hyper-Kahler fourfold "
-        "lattice and Riemann-Roch arithmetic.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _emit(args, payload, echo: bool = True) -> None:
+    """Serialize ``payload`` at most once: the same string goes to --json and, if echo, stdout."""
+    data = dumps_canonical(payload) if echo or args.json_path else ""
+    if args.json_path:
+        try:
+            Path(args.json_path).write_text(data, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write --json {args.json_path!r}: {exc!r}")
+    if echo:
+        print(data, end="")
 
-    p_classify = sub.add_parser("classify", help="case analysis for one value of a")
-    p_classify.add_argument("--a", type=int, required=True)
-    p_classify.add_argument("--json", dest="json_path")
-    p_classify.add_argument("--betti-data", dest="betti_data")
-    p_classify.add_argument("--decimal", action="store_true")
 
-    p_verify = sub.add_parser("verify", help="run one certificate or all of them")
-    p_verify.add_argument("name", help='certificate id or "all"')
-    p_verify.add_argument("--json", dest="json_path")
-    p_verify.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-
-    p_scenario = sub.add_parser("scenario", help="ingest a scenario file and report")
-    p_scenario.add_argument("path")
-    p_scenario.add_argument("--json", dest="json_path")
-    p_scenario.add_argument("--betti-data", dest="betti_data")
-
-    p_ledger = sub.add_parser("ledger", help="dump the chi ledger as markdown and JSON")
-    p_ledger.add_argument("--json", dest="json_path")
-
-    p_report = sub.add_parser("report", help="full suite: classifications plus all certificates")
-    p_report.add_argument("--json", dest="json_path")
-    p_report.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
-    p_report.add_argument("--betti-data", dest="betti_data")
-
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else 0
-
+def _run(args) -> int:
+    """Run the parsed command; it reports bad input by raising InputError."""
     if args.command == "classify":
         if args.a < 1:
-            print("error: --a must be a positive integer", file=sys.stderr)
-            return EXIT_USAGE
-        table = classifier.load_betti_table(args.betti_data)
+            raise InputError("--a must be a positive integer")
+        table = _load("Betti data", classifier.load_betti_table, args.betti_data)
         report = classifier.classify(args.a, betti_table=table)
+        _emit(args, case_report_json(report), echo=False)
         _print_case_report(report, decimal=args.decimal)
-        _write_json(args.json_path, case_report_json(report))
         return EXIT_OK
 
     if args.command == "verify":
-        if args.name != "all" and args.name not in CERTIFICATES:
-            print(f"error: unknown certificate id {args.name!r}", file=sys.stderr)
-            print(f"known ids: {', '.join(sorted(CERTIFICATES))}, all", file=sys.stderr)
-            return EXIT_USAGE
-        names = sorted(CERTIFICATES) if args.name == "all" else [args.name]
-        import time
-
         start = time.monotonic()
-        suite = run_suite(names)
+        suite = run_suite(sorted(CERTIFICATES) if args.name == "all" else [args.name])
         elapsed = time.monotonic() - start
+        _emit(args, suite, echo=False)
         for name, res in suite["certificates"].items():
             print(f"{name}: {res['result']}")
             for d in res["diffs"]:
                 print(f"  diff: {d}")
         print(f"runtime: {elapsed:.3f}s")
-        _write_json(args.json_path, suite)
         return EXIT_OK if suite["all_expected_verdicts_reproduced"] else EXIT_DIVERGED
 
     if args.command == "scenario":
-        try:
-            with open(args.path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read scenario: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        try:
-            out = run_scenario(doc, betti_path=args.betti_data)
-        except ScenarioError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return exc.code
-        print(dumps_canonical(out), end="")
-        _write_json(args.json_path, out)
+        doc = _load("scenario", lambda p: json.loads(Path(p).read_text("utf-8")), args.path)
+        out = run_scenario(doc, betti_path=args.betti_data)
+        _emit(args, out)
         certs = out.get("certificates")
         if certs and not certs["all_expected_verdicts_reproduced"]:
             return EXIT_DIVERGED
@@ -531,30 +514,62 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     if args.command == "ledger":
         t = ledger.chi_table()
-        print(t.to_markdown())
-        print()
-        print(dumps_canonical(t), end="")
-        _write_json(args.json_path, to_jsonable(t))
+        print(t.to_markdown() + "\n")
+        _emit(args, t)
         return EXIT_OK
 
-    if args.command == "report":
-        table = classifier.load_betti_table(args.betti_data)
-        suite = run_suite(sorted(CERTIFICATES))
-        classifications = {
-            str(a): case_report_json(classifier.classify(a, betti_table=table))
-            for a in range(1, 9)
-        }
-        payload = {
-            "certificates": suite["certificates"],
-            "all_expected_verdicts_reproduced": suite["all_expected_verdicts_reproduced"],
-            "classifications": classifications,
-            "ledger": to_jsonable(ledger.chi_table()),
-        }
-        print(dumps_canonical(payload), end="")
-        _write_json(args.json_path, payload)
-        return EXIT_OK if suite["all_expected_verdicts_reproduced"] else EXIT_DIVERGED
+    table = _load("Betti data", classifier.load_betti_table, args.betti_data)  # report
+    suite = run_suite(sorted(CERTIFICATES))
+    classifications = {
+        str(a): case_report_json(classifier.classify(a, betti_table=table)) for a in range(1, 9)
+    }
+    _emit(args, {
+        "certificates": suite["certificates"],
+        "all_expected_verdicts_reproduced": suite["all_expected_verdicts_reproduced"],
+        "classifications": classifications,
+        "ledger": to_jsonable(ledger.chi_table()),
+    })
+    return EXIT_OK if suite["all_expected_verdicts_reproduced"] else EXIT_DIVERGED
 
-    return EXIT_USAGE
+
+def main(argv: Optional[list[str]] = None) -> int:
+    parser = _Parser(
+        prog="hk4",
+        description="Exact-arithmetic certification suite for hyper-Kahler fourfold "
+        "lattice and Riemann-Roch arithmetic.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    out = _Parser(add_help=False)
+    out.add_argument("--json", dest="json_path", help="also write the JSON payload here")
+
+    p_classify = sub.add_parser("classify", parents=[out], help="case analysis for one value of a")
+    p_classify.add_argument("--a", type=int, required=True)
+    p_classify.add_argument("--betti-data", dest="betti_data")
+    p_classify.add_argument("--decimal", action="store_true")
+
+    p_verify = sub.add_parser("verify", parents=[out], help="run one certificate or all of them")
+    p_verify.add_argument("name", choices=[*sorted(CERTIFICATES), "all"],
+                          help='certificate id or "all"')
+    p_verify.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
+
+    p_scenario = sub.add_parser("scenario", parents=[out],
+                                help="ingest a scenario file and report")
+    p_scenario.add_argument("path")
+    p_scenario.add_argument("--betti-data", dest="betti_data")
+
+    sub.add_parser("ledger", parents=[out], help="dump the chi ledger as markdown and JSON")
+
+    p_report = sub.add_parser("report", parents=[out],
+                              help="full suite: classifications plus all certificates")
+    p_report.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
+    p_report.add_argument("--betti-data", dest="betti_data")
+
+    try:
+        args = parser.parse_args(argv)
+        return _run(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -107,9 +107,9 @@ def hyperbolic_pair_normalize(q_l: int, q_m: int, q_lm: int) -> PairNormalizatio
     2*r*q(l,m).  The window -q(l,m) < q(m) <= q(l,m) pins r uniquely.
     """
     if q_l != 0:
-        raise ValueError("normalization requires q(l) = 0")
+        raise ValueError(f"q(l) = {q_l} != 0")
     if q_lm == 0:
-        raise ValueError("degenerate pair: q(l, m) = 0")
+        raise ValueError("q(l, m) = 0")
     flip = q_lm < 0
     p = abs(q_lm)
     # choose r with q_m + 2 r p in (-p, p]

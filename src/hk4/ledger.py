@@ -133,8 +133,7 @@ def koszul_counts(h0_L: int = 1, h0_M: int = 1) -> KoszulReport:
     the Castelnuovo bound binom(2+1, 2) = 3; that contradiction is the
     content of the final flag.
     """
-    t = chi_table()
-    chi11, chi21, chi12, chi22 = (int(t.chi(1, 1)), int(t.chi(2, 1)), int(t.chi(1, 2)), int(t.chi(2, 2)))
+    chi11, chi21, chi12, chi22 = (int(RR(2 * p * q)) for p, q in ((1, 1), (2, 1), (1, 2), (2, 2)))
     ideal_lm = h0_L + h0_M - 1
     ideal_l2m2 = chi21 + chi12 - chi11
     restricted = chi22 - ideal_l2m2
@@ -369,9 +368,8 @@ def mukai_solve() -> MukaiSolveReport:
     characteristics gives two linear conditions on the unknown (s, s'),
     namely chi(Sigma, E) = s' + 2 = 3 and chi(Sigma, E(-H)) = 5 - 2s = 3.
     """
-    t = chi_table()
-    chi_E = int(t.chi(1, 0) - t.chi(2, -1))  # = 3 - 0
-    chi_E_down = int(t.chi(0, -1) - t.chi(1, -2))  # = 3 - 0
+    chi_E = int(RR(2 * 1 * 0) - RR(2 * 2 * -1))  # chi(1, 0) - chi(2, -1) = 3 - 0
+    chi_E_down = int(RR(2 * 0 * -1) - RR(2 * 1 * -2))  # chi(0, -1) - chi(1, -2) = 3 - 0
     # chi(Sigma, (2, s H, s')) = 2 + s' ; chi of the (-1)-twist = 4 + s' - 2s
     s_prime = chi_E - 2
     s = (4 + s_prime - chi_E_down) // 2

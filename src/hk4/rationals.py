@@ -9,6 +9,7 @@ denominator positive), aliased ``Q``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import factorial, isqrt
 from typing import Optional
@@ -17,8 +18,10 @@ Q = Fraction  # the only scalar type in the engine
 
 
 def rational_from_string(s: str) -> Q:
-    """Parse "p/q" or "p" into an exact rational."""
-    return Q(s.strip())
+    """Parse "p" or "p/q" (signed, q != 0), the forms `rational_to_string` writes."""
+    if not re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", s):
+        raise ValueError(f'expected "p" or "p/q" with q != 0, got {s!r}')
+    return Q(s)
 
 
 def rational_to_string(x) -> str:
@@ -252,33 +255,21 @@ def is_integer(x) -> bool:
 
 
 def integer_valued_on(P: RatPoly, stride: int, offset: int) -> bool:
-    """Decide whether P(offset + stride*j) is an integer for every j in Z.
-
-    Exact finite-difference criterion: with Q(j) := P(offset + stride*j),
-    the Newton expansion Q(j) = sum_k (Delta^k Q)(0) * binom(j, k) shows that
-    Q is integer valued on all of Z iff its first deg(P)+1 iterated forward
-    differences at 0 are integers.  No sampling is involved.
-    """
-    if stride <= 0:
-        raise ValueError("stride must be positive")
-    d = max(P.degree, 0)
-    values = [P(Q(offset + stride * j)) for j in range(d + 1)]
-    for _ in range(d + 1):
-        if not is_integer(values[0]):
-            return False
-        values = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    return True
+    """Decide whether P(offset + stride*j) is an integer for every j in Z."""
+    return integrality_witness(P, stride, offset) is None
 
 
 def integrality_witness(P: RatPoly, stride: int, offset: int) -> Optional[Q]:
-    """A progression point T with P(T) not an integer, if one exists.
+    """The first progression point T = offset + stride*j, j >= 0, with P(T) not an integer.
 
-    When P is not integer valued on the progression, some value among the
-    first deg(P)+1 progression points is already non-integral (otherwise all
-    finite differences would be integers), so the search window is exact.
+    Exact, no sampling: with Q(j) := P(offset + stride*j), the Newton expansion
+    Q(j) = sum_k (Delta^k Q)(0) * binom(j, k) shows that Q is integer valued on Z
+    iff Q(0), ..., Q(deg P) are integers, so None means P is integer valued on
+    the whole progression.
     """
-    d = max(P.degree, 0)
-    for j in range(d + 1):
+    if stride <= 0:
+        raise ValueError("stride must be positive")
+    for j in range(max(P.degree, 0) + 1):
         t = Q(offset + stride * j)
         if not is_integer(P(t)):
             return t

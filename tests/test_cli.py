@@ -1,13 +1,20 @@
 """CLI behavior: exit codes, JSON determinism, order independence, the certificate table."""
 
+import contextlib
 import dataclasses
 import hashlib
 import inspect
+import io
 import json
+import os
+import re
 import subprocess
 import sys
+from importlib import resources
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hk4 import ledger
 from hk4.cli import CERTIFICATES, main, run_certificate, run_scenario, run_suite
@@ -258,3 +265,149 @@ class TestCertificateTable:
         monkeypatch.setattr(cli, "load_expectations", lambda: {})
         assert run_certificate("chi-table")["result"] == "FAIL"
         assert main(["verify", "chi-table"]) == 1
+
+
+BETTI_TEXT = resources.files("hk4.data").joinpath("betti.json").read_text()
+BETTI = json.loads(BETTI_TEXT)
+
+#: A valid n = 2 scenario with a small a (EMPTY classification, six certificates).
+SMALL = dict(K3SQ, overrides={"a": "2"})
+
+
+def run_main(*argv):
+    """main(argv) in process; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+#: JSON values that are neither integers nor lists of integers, nor a valid overrides object.
+NOT_INT = (st.none() | st.booleans() | st.floats(allow_nan=False, allow_infinity=False)
+           | st.text(max_size=4) | st.just([None]) | st.just({"weight": 1}))
+
+#: Strings that are neither "p" nor "p/q" with q != 0 ("1e9999999" would be a huge integer).
+BAD_RATIONAL_TEXT = st.sampled_from(["abc", "1/0", "-4/00", "1.5", "1e9999999", " 3", "", "nan"]) | (
+    st.text(max_size=6).filter(lambda t: not re.fullmatch(r"[+-]?[0-9]+(/[0-9]*[1-9][0-9]*)?", t)))
+
+#: Betti data that is not a JSON array of {"b2": int, "b3": int} objects.
+BAD_BETTI_VALUE = st.none() | st.lists(st.integers(), max_size=2) | st.sampled_from(["", "abc", "8.5"])
+BAD_BETTI_ENTRY = (
+    st.integers() | st.text(max_size=3) | st.none() | st.lists(st.integers(), max_size=2)
+    | st.just({"b2": 8}) | st.just({"b3": 12})
+    | st.fixed_dictionaries({"b2": BAD_BETTI_VALUE, "b3": st.just(12)})
+    | st.fixed_dictionaries({"b2": st.just(8), "b3": BAD_BETTI_VALUE})
+)
+BAD_BETTI_TEXT = (
+    st.sampled_from(["", "{", "[1,", "not json"])
+    | st.builds(json.dumps, st.none() | st.integers() | st.text(max_size=3) | st.just({"b2": 8}))
+    | st.builds(lambda pos, bad: json.dumps(BETTI[:pos] + [bad] + BETTI[pos:]),
+                st.integers(0, 3), BAD_BETTI_ENTRY)
+)
+
+
+@st.composite
+def malformed_inputs(draw):
+    """(scenario: a document, or raw text or bytes; Betti file text or None), one part malformed."""
+    doc = json.loads(json.dumps(SMALL))
+    kind = draw(st.sampled_from(["type", "missing", "override", "override_keys", "betti",
+                                 "betti_path", "raw"]))
+    if kind == "type":
+        doc[draw(st.sampled_from(["n", "rank", "gram", "l", "m", "overrides"]))] = draw(NOT_INT)
+    elif kind == "missing":
+        del doc[draw(st.sampled_from(["n", "gram", "l", "m"]))]
+    elif kind == "override":
+        key = draw(st.sampled_from(["c_X", "a", "A_X"]))
+        doc["overrides"][key] = draw(BAD_RATIONAL_TEXT | NOT_INT.filter(lambda v: not isinstance(v, str)))
+    elif kind == "override_keys":
+        doc["overrides"] = draw(st.sampled_from([{}, {"A_X": "25/32"}, {"a": "2", "weight": "1"}]))
+    elif kind == "betti":
+        return doc, draw(BAD_BETTI_TEXT)
+    elif kind == "betti_path":
+        doc["overrides"]["betti_data_path"] = draw(
+            st.just("/nonexistent/betti.json") | NOT_INT.filter(lambda v: not isinstance(v, str)))
+    else:
+        return draw(st.sampled_from(["", "{", "[]", "2", '"scenario"', '{"n": 2,', b"\xff\xfe"])), None
+    return doc, None
+
+
+class TestInputBoundary:
+    """Malformed input exits 2 with one error line and no traceback."""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(malformed_inputs())
+    def test_malformed_scenario_and_betti_documents_exit_2(self, tmp_path, case):
+        doc, betti_text = case
+        path, betti = tmp_path / "scenario.json", tmp_path / "betti.json"
+        if betti_text is not None:
+            betti.write_text(betti_text)
+            doc["overrides"]["betti_data_path"] = str(betti)
+        if isinstance(doc, dict):
+            doc = json.dumps(doc)
+        path.write_bytes(doc if isinstance(doc, bytes) else doc.encode())
+        code, out, err = run_main("scenario", str(path))
+        assert code == 2, (doc, betti_text, err)
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+
+    def test_missing_scenario_file(self, tmp_path):
+        code, _, err = run_main("scenario", str(tmp_path / "missing.json"))
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_integer_betti_data_path_is_not_a_file_descriptor(self, tmp_path):
+        # open() would take an int as a descriptor: read the caller's file, then close it
+        betti = tmp_path / "betti.json"
+        betti.write_text(BETTI_TEXT)
+        fd = os.open(betti, os.O_RDONLY)
+        try:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(dict(SMALL, overrides={"a": "2", "betti_data_path": fd})))
+            code, _, err = run_main("scenario", str(path))
+            assert code == 2, err
+            os.fstat(fd)  # still open
+        finally:
+            with contextlib.suppress(OSError):
+                os.close(fd)
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--a", "1", "--betti-data", "/nonexistent"],
+        ["report", "--betti-data", "/nonexistent"],
+        ["classify", "--a", "1", "--json", "/nonexistent/x.json"],
+    ])
+    def test_unreadable_files_on_the_command_line_exit_2(self, argv):
+        res = run_cli(*argv)
+        assert res.returncode == 2
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "Traceback" not in res.stderr
+
+    def test_usage_errors_are_one_line(self):
+        for argv in ([], ["verify", "bogus"], ["classify"], ["classify", "--a", "x"]):
+            code, _, err = run_main(*argv)
+            assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("argv, echo", [
+        (["report"], True),
+        (["ledger"], True),
+        (["scenario", "SCENARIO"], True),
+        (["verify", "bounds"], False),
+        (["classify", "--a", "4"], False),
+    ])
+    def test_payload_serialized_once_and_the_same_string_goes_to_json(
+            self, tmp_path, monkeypatch, argv, echo):
+        import hk4.cli as cli
+
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(SMALL))
+        calls = []
+        real = cli.dumps_canonical
+        monkeypatch.setattr(cli, "dumps_canonical", lambda obj: calls.append(1) or real(obj))
+        target = tmp_path / "out.json"
+        argv = [str(scenario) if a == "SCENARIO" else a for a in argv]
+        code, out, _ = run_main(*argv, "--json", str(target))
+        assert code == 0
+        assert len(calls) == 1
+        assert out.endswith(target.read_text()) == echo

@@ -110,6 +110,12 @@ class TestSerialization:
     def test_round_trip(self, x):
         assert rational_from_string(rational_to_string(x)) == x
 
+    @pytest.mark.parametrize("text", ["abc", "1/0", "3/00", "1.5", "1e9999999", " 3", "3/-4", "", "/2"])
+    def test_rejects_anything_but_p_or_p_over_q(self, text):
+        # decimals and exponents are not accepted: "1e9999999" would build a huge integer
+        with pytest.raises(ValueError):
+            rational_from_string(text)
+
 
 class TestRatPoly:
     def test_zero_poly(self):
