@@ -2,25 +2,35 @@
 """Print the classification summary for every polarization degree a = 1..8.
 
 One row per a: verdict, surviving (A_X, gamma, q, c_X) data, Betti options.
+Exits 0, or 141 when stdout is closed early (``... | head -3``).
 """
 
-from hk4.classifier import classify
+import sys
 
-for a in range(1, 9):
-    rep = classify(a)
-    if rep.verdict == "EMPTY":
-        reasons = {t.stage for t in rep.trace}
-        print(f"a = {a}: EMPTY  (killed in: {', '.join(sorted(reasons))})")
-        continue
-    for sol in rep.solutions:
-        st = sol.state
-        qs = ", ".join(
-            f"q={o.q_lm} (c_X={o.c_X}, {o.parity})" for o in sol.q_options
-        )
-        betti = " ".join(str(t) for t in sol.betti_options)
-        print(
-            f"a = {a}: A_X={st.A_X} gamma={st.gamma} b={st.b} c={st.c} | {qs} | "
-            f"Betti: {betti}"
-        )
-    for note in rep.notes:
-        print(f"        note: {note}")
+from hk4.classifier import classify
+from hk4.cli import guard_stdout
+
+
+def main() -> int:
+    for a in range(1, 9):
+        rep = classify(a)
+        if rep.verdict == "EMPTY":
+            reasons = {t.stage for t in rep.trace}
+            print(f"a = {a}: EMPTY  (killed in: {', '.join(sorted(reasons))})")
+            continue
+        for sol in rep.solutions:
+            st = sol.state
+            qs = ", ".join(
+                f"q={o.q_lm} (c_X={o.c_X}, {o.parity})" for o in sol.q_options
+            )
+            betti = " ".join(str(t) for t in sol.betti_options)
+            print(
+                f"a = {a}: A_X={st.A_X} gamma={st.gamma} b={st.b} c={st.c} | {qs} | "
+                f"Betti: {betti}"
+            )
+        for note in rep.notes:
+            print(f"        note: {note}")
+    return 0
+
+
+sys.exit(guard_stdout(main))

@@ -7,6 +7,7 @@ Runs `hk4 report --json out.json` in process: the canonical JSON report goes
 to stdout and to out.json (default certification_report.json), then one line
 on stderr names the file and the exit code.  Per-certificate verdicts are in
 the report's "certificates" block; `hk4 verify all` prints them one per line.
+The exit code is `hk4 report`'s, 141 included when stdout is closed early.
 """
 
 import sys

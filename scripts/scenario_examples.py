@@ -3,14 +3,15 @@
 
 Writes scenario JSON files for the three standard Fujiki constants on a
 hyperbolic degree-2 pair (c_X = 3 and 9 in dimension 4, c_X = 945 in
-dimension 10) and prints each resulting report summary.
+dimension 10) and prints each resulting report summary.  Exits 0, or 141
+when stdout is closed early.
 """
 
 import json
 import pathlib
 import sys
 
-from hk4.cli import run_scenario
+from hk4.cli import guard_stdout, run_scenario
 
 SCENARIOS = {
     "hyperbolic_cx3": {
@@ -39,16 +40,22 @@ SCENARIOS = {
     },
 }
 
-outdir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "scenarios")
-outdir.mkdir(exist_ok=True)
-for name, doc in SCENARIOS.items():
-    path = outdir / f"{name}.json"
-    path.write_text(json.dumps(doc, indent=2) + "\n")
-    out = run_scenario(doc)
-    if "classification" in out:
-        verdict = out["classification"]["verdict"]
-        extra = f"classification: {verdict}"
-    else:
-        rr = out["principal_case"]["rr"].pretty() if out["principal_case"] else "-"
-        extra = f"principal case, P_RR(T) = {rr}"
-    print(f"{path}: n={out['n']} a={out['a']} -> {extra}")
+
+def main() -> int:
+    outdir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "scenarios")
+    outdir.mkdir(exist_ok=True)
+    for name, doc in SCENARIOS.items():
+        path = outdir / f"{name}.json"
+        path.write_text(json.dumps(doc, indent=2) + "\n")
+        out = run_scenario(doc)
+        if "classification" in out:
+            verdict = out["classification"]["verdict"]
+            extra = f"classification: {verdict}"
+        else:
+            rr = out["principal_case"]["rr"].pretty() if out["principal_case"] else "-"
+            extra = f"principal case, P_RR(T) = {rr}"
+        print(f"{path}: n={out['n']} a={out['a']} -> {extra}")
+    return 0
+
+
+sys.exit(guard_stdout(main))

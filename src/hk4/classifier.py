@@ -191,7 +191,11 @@ def admissible_qlm(a: int, A_X: Q, killed: Optional[list] = None) -> dict[int, Q
 
 
 def load_betti_table(path: Optional[str] = None) -> list[dict]:
-    """Betti data file: JSON array of {"b2": int, "b3": int, "source": str}."""
+    """Betti data file: JSON array of {"b2": int, "b3": int, "source": str}.
+
+    ``b2`` and ``b3`` must be JSON integers: ``23.9``, ``"8"`` and ``true``
+    raise ValueError instead of being read as 23, 8 and 1.
+    """
     if path is None:
         text = resources.files("hk4.data").joinpath("betti.json").read_text()
     else:
@@ -201,7 +205,10 @@ def load_betti_table(path: Optional[str] = None) -> list[dict]:
     if not isinstance(data, list):
         raise ValueError("Betti data file must be a JSON array")
     for entry in data:
-        betti_profile(int(entry["b2"]), int(entry["b3"]))  # validate eagerly
+        b2, b3 = entry["b2"], entry["b3"]
+        if type(b2) is not int or type(b3) is not int:
+            raise ValueError(f"b2 and b3 must be integers, got {b2!r} and {b3!r}")
+        betti_profile(b2, b3)  # validate eagerly
     return data
 
 
@@ -238,9 +245,10 @@ def betti_options_for(A_X: Q, table: Sequence[dict]) -> tuple[list, list]:
     """Split the built-in candidate triples into (listed in data file, builtin only).
 
     Depends on A_X and the table only; `classify` calls it once per A_X
-    that has an admitted q(l, m).
+    that has an admitted q(l, m).  The table holds integer b2 and b3, as
+    `load_betti_table` checks.
     """
-    listed_pairs = {(int(e["b2"]), int(e["b3"])) for e in table}
+    listed_pairs = {(e["b2"], e["b3"]) for e in table}
     in_table, builtin_only = [], []
     for triple in _betti_candidates(Q(A_X)):
         (in_table if (triple[0], triple[1]) in listed_pairs else builtin_only).append(triple)

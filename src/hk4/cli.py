@@ -3,10 +3,12 @@
 Exit-code contract: 0 = run completed and every expected verdict reproduced;
 1 = a certificate diverged from its expected value; 2 = usage error or
 malformed input; 3 = scenario precondition violation (q(l) != 0, q(l, m) = 0,
-or a not a positive integer).  Every outside input (arguments, scenario file,
-overrides, Betti data, the --json path) is parsed at one boundary that raises
-``InputError``, and ``main`` alone turns it into one ``error:`` line and the
-exit code.  Each command serializes its payload at most once, in ``_emit``.
+or a not a positive integer); 141 = stdout was closed before the output was
+written (``hk4 classify --a 1000 | head -1``), see ``guard_stdout``.  Every
+outside input (arguments, scenario file, overrides, Betti data, the --json
+path) is parsed at one boundary that raises ``InputError``, and ``main`` alone
+turns it into one ``error:`` line and the exit code.  Each command serializes
+its payload at most once, in ``_emit``.
 
 The 15 certificates form one table, ``CERTIFICATES``: each entry names the
 engine computation, the claim its result must satisfy and the fields it
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -38,6 +41,8 @@ EXIT_OK = 0
 EXIT_DIVERGED = 1
 EXIT_USAGE = 2
 EXIT_PRECONDITION = 3
+#: What shells report for a program killed by SIGPIPE (128 + 13).
+EXIT_CLOSED_STDOUT = 141
 
 #: ``--jobs`` is kept so existing command lines still parse.
 JOBS_HELP = "accepted and ignored: certificates run serially"
@@ -289,10 +294,15 @@ def _subset_diff(expected, computed, path="") -> list[str]:
     return diffs
 
 
-def run_certificate(name: str) -> dict:
-    """Run one certificate: it passes when its claim holds and no expected value differs."""
+def run_certificate(name: str, expectations: Optional[dict] = None) -> dict:
+    """Run one certificate: it passes when its claim holds and no expected value differs.
+
+    ``expectations`` is the parsed expectations file; it is read when not given.
+    """
     computed = to_jsonable(CERTIFICATES[name]())
-    expected = load_expectations().get(name, {})
+    if expectations is None:
+        expectations = load_expectations()
+    expected = expectations.get(name, {})
     diffs = _subset_diff(expected, computed, name)
     if diffs or computed["status"] not in ("PASS", "UNSAT"):
         result = "FAIL"
@@ -304,7 +314,8 @@ def run_certificate(name: str) -> dict:
 
 
 def run_suite(names: list[str]) -> dict:
-    results = [run_certificate(n) for n in names]
+    expectations = load_expectations()  # read once per suite
+    results = [run_certificate(n, expectations) for n in names]
     by_name = {r["name"]: r for r in results}
     ordered = {n: by_name[n] for n in sorted(by_name)}
     ok = all(r["result"] in ("PASS", "UNSAT-as-expected") for r in results)
@@ -532,6 +543,26 @@ def _run(args) -> int:
     return EXIT_OK if suite["all_expected_verdicts_reproduced"] else EXIT_DIVERGED
 
 
+def guard_stdout(run: Callable[[], int]) -> int:
+    """``run()`` and a final flush of stdout; a reader that closed stdout early gives 141.
+
+    Python ignores SIGPIPE, so writing to a closed pipe raises BrokenPipeError.
+    It is caught here, without a traceback, and stdout is pointed at
+    os.devnull so that the flush at interpreter exit does not fail again.
+    The process-wide SIGPIPE handling is left alone, since ``main`` also runs
+    in process.  Each entry point (``main`` and the scripts) calls this once.
+    """
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
+    return code
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = _Parser(
         prog="hk4",
@@ -566,7 +597,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         args = parser.parse_args(argv)
-        return _run(args)
+        return guard_stdout(lambda: _run(args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code

@@ -411,3 +411,70 @@ class TestOutputPath:
         assert code == 0
         assert len(calls) == 1
         assert out.endswith(target.read_text()) == echo
+
+
+class TestBettiIntegers:
+    """b2 and b3 are JSON integers: no float, string or boolean is read as one."""
+
+    @pytest.mark.parametrize("field, bad", [
+        ("b2", 23.9), ("b3", "8"), ("b2", True), ("b3", False), ("b3", 0.0),
+    ])
+    def test_classify_betti_data(self, tmp_path, field, bad):
+        betti = tmp_path / "betti.json"
+        betti.write_text(json.dumps([dict(BETTI[0], **{field: bad}), *BETTI[1:]]))
+        code, out, err = run_main("classify", "--a", "3", "--betti-data", str(betti))
+        assert code == 2, err
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("field, bad", [("b2", 23.9), ("b3", "8"), ("b3", True), ("b3", False)])
+    def test_scenario_betti_data_path(self, tmp_path, field, bad):
+        betti, path = tmp_path / "betti.json", tmp_path / "scenario.json"
+        betti.write_text(json.dumps([*BETTI[:-1], dict(BETTI[-1], **{field: bad})]))
+        path.write_text(json.dumps(dict(K3SQ, overrides={"a": "3", "betti_data_path": str(betti)})))
+        code, out, err = run_main("scenario", str(path))
+        assert code == 2, err
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestExpectationsReadOncePerSuite:
+    def test_suite_reads_once_and_a_lone_certificate_reads_once(self, monkeypatch):
+        import hk4.cli as cli
+
+        calls = []
+        real = cli.load_expectations
+        monkeypatch.setattr(cli, "load_expectations", lambda: calls.append(1) or real())
+        suite = run_suite(sorted(CERTIFICATES))
+        assert suite["all_expected_verdicts_reproduced"]
+        assert len(calls) == 1
+        assert run_certificate("segre")["result"] == "PASS"
+        assert len(calls) == 2
+
+
+SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early gets exit 141 and no traceback, from every entry point."""
+
+    @pytest.mark.parametrize("argv", [
+        ["-m", "hk4", "classify", "--a", "1000"],
+        ["-m", "hk4", "report"],
+        [os.path.join(SCRIPTS, "classification_table.py")],
+        [os.path.join(SCRIPTS, "run_certification.py"), "REPORT"],
+        [os.path.join(SCRIPTS, "scenario_examples.py"), "SCENARIOS"],
+    ])
+    def test_exit_141_without_traceback(self, tmp_path, argv):
+        import hk4
+
+        argv = [str(tmp_path / "report.json") if a == "REPORT"
+                else str(tmp_path / "scenarios") if a == "SCENARIOS" else a for a in argv]
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hk4.__file__)))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child writes anything
+        try:
+            res = subprocess.run([sys.executable, *argv], stdout=write_end, stderr=subprocess.PIPE,
+                                 text=True, env=env, cwd=tmp_path, timeout=120)
+        finally:
+            os.close(write_end)
+        assert res.returncode == 141, res.stderr
+        assert "Traceback" not in res.stderr and "BrokenPipe" not in res.stderr, res.stderr
