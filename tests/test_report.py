@@ -5,18 +5,15 @@ dispatched on exact types first; it and ``json.dumps`` are the oracle for
 ``to_jsonable`` and ``dumps_canonical``.
 """
 
-import ast
 import dataclasses
 import enum
 import json
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hk4
 from hk4.classifier import ClassifierState, QOption, TraceEntry, classify
 from hk4.fujiki import RRPolynomial, rr_from_cx_ax, rr_lagrangian_form
 from hk4.ledger import chi_table
@@ -175,13 +172,3 @@ class TestErrors:
         with pytest.raises(TypeError):
             dumps_canonical(value)
 
-
-def test_no_indented_json_dumps_in_the_engine():
-    # dumps_canonical is the one serializer; json.dumps(indent=...) survives only as the oracle
-    found = [
-        f"{path.name}:{node.lineno}"
-        for path in sorted(Path(hk4.__file__).parent.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)
-    ]
-    assert found == []

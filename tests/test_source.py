@@ -21,3 +21,14 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_indented_json_dumps():
+    # report.dumps_canonical is the one serializer; json.dumps(indent=...) is only its test oracle
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call) and any(k.arg == "indent" for k in node.keywords)
+    ]
+    assert found == []
