@@ -58,4 +58,5 @@ def main() -> int:
     return 0
 
 
-sys.exit(guard_stdout(main))
+if __name__ == "__main__":
+    sys.exit(guard_stdout(main))
