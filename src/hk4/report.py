@@ -61,6 +61,7 @@ def to_jsonable(obj):
 
 
 def _to_jsonable_general(obj):
+    """The ``isinstance`` chain: subclasses, polynomials, sets, a dataclass seen first, errors."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, Fraction):
