@@ -52,7 +52,7 @@ def main() -> int:
             verdict = out["classification"]["verdict"]
             extra = f"classification: {verdict}"
         else:
-            rr = out["principal_case"]["rr"].pretty() if out["principal_case"] else "-"
+            rr = out["principal_case"]["rr"]["pretty"] if out["principal_case"] else "-"
             extra = f"principal case, P_RR(T) = {rr}"
         print(f"{path}: n={out['n']} a={out['a']} -> {extra}")
     return 0

@@ -7,17 +7,21 @@ or a not a positive integer); 141 = stdout was closed before the output was
 written (``hk4 classify --a 1000 | head -1``), see ``guard_stdout``.  Every
 outside input (arguments, scenario file, overrides, Betti data, the --json
 path) is parsed at one boundary that raises ``InputError``, and ``main`` alone
-turns it into one ``error:`` line and the exit code.  Each command serializes
-its payload at most once, in ``_emit``.
+turns it into one ``error:`` line and the exit code.  Each command converts
+its payload to plain JSON once, where it builds it, and serializes it at most
+once, in ``_emit``.
 
 The 15 certificates form one table, ``CERTIFICATES``: each entry names the
-engine computation, the claim its result must satisfy and the fields it
-reports.  One rule, ``Certificate.status``, sets every status: the three h4
-refutations report the engine's own UNSAT or SAT, every other certificate
-reports PASS when its claim holds and FAIL when it does not, and an entry
-whose only check is its pinned expected values has ``claim=None``.  The
-expected values live in data/expectations.json, separate from the code, so a
-diff between computed and expected values is a first-class artifact.
+engine computation and the claim its result must satisfy.  The engine
+returns the dict a certificate reports; an entry names ``fields`` only where
+it reports a subset, an alias or a reshape of that result.  One rule,
+``Certificate.status``, sets every status: values that carry their own
+status keep it (the three h4 refutations report the engine's UNSAT or SAT),
+and any other result is PASS when its claim holds and FAIL when it does
+not.  An entry whose only check is its pinned expected values has
+``claim=None``.  The expected values live in data/expectations.json,
+separate from the code, so a diff between computed and expected values is a
+first-class artifact.
 Certificates run serially: pure-Python exact arithmetic gains nothing from threads.
 """
 
@@ -44,9 +48,6 @@ EXIT_PRECONDITION = 3
 #: What shells report for a program killed by SIGPIPE (128 + 13).
 EXIT_CLOSED_STDOUT = 141
 
-#: ``--jobs`` is kept so existing command lines still parse.
-JOBS_HELP = "accepted and ignored: certificates run serially"
-
 
 # ---------------------------------------------------------------------------
 # certificate table
@@ -59,51 +60,35 @@ class Certificate:
     ``compute`` looks its engine functions up through their modules each time
     it runs (``ledger.koszul_counts()``, never a reference taken at import),
     so a function rebound on its module, by a tracer or a test, is the one
-    that runs.  ``fields`` maps the result to the reported fields; it is
-    ``dict`` when the computation already returns them.
+    that runs.  Most computations return the dict they report; ``fields``
+    is a view of the result only where a row reports a subset, an alias or
+    a reshape of it.
     """
 
     compute: Callable[[], Any]
     claim: Optional[Callable[[Any], bool]]
-    fields: Callable[[Any], dict]
+    fields: Callable[[Any], dict] = dict
 
     def __call__(self) -> dict:
         result = self.compute()
-        return {"status": self.status(result), **self.fields(result)}
+        values = self.fields(result)
+        return {**values, "status": self.status(result, values)}
 
-    def status(self, result) -> str:
+    def status(self, result, values: dict) -> str:
         """The one status rule.
 
-        An h4 refutation decides in the engine whether its search space is
-        empty and carries UNSAT or SAT itself; any other result is PASS when
+        Values that carry their own ``status`` keep it: the h4 refutations
+        decide UNSAT or SAT in the engine.  Any other result is PASS when
         the claim holds (or there is none) and FAIL otherwise.
         """
-        if isinstance(result, h4.CertificateResult):
-            return result.status
+        if "status" in values:
+            return values["status"]
         return "PASS" if self.claim is None or self.claim(result) else "FAIL"
 
 
-def _attrs(*names: str, **aliases: str) -> Callable[[Any], dict]:
-    """Fields copied from the result; ``key="attr"`` reports ``attr`` under ``key``."""
-    pairs = [(name, name) for name in names] + list(aliases.items())
-    return lambda result: {key: getattr(result, attr) for key, attr in pairs}
-
-
-def _refutation_fields(res: h4.CertificateResult) -> dict:
-    """The deduction, the witnesses when there are any, and the engine's values."""
-    out = {"deduction": res.deduction, **res.values}
-    if res.witnesses:
-        out["witnesses"] = res.witnesses
-    return out
-
-
-def _contract_surface_fields(res: h4.CertificateResult) -> dict:
-    cases = res.values["cases"]
-    return {
-        **_refutation_fields(res),
-        "unsat_t": [c["t"] for c in cases if c["verdict"] == "UNSAT"],
-        "probe_survives": any(c["probe"] and c["verdict"] == "SAT-candidate" for c in cases),
-    }
+def _keys(*names: str) -> Callable[[dict], dict]:
+    """The subset of a result dict that a row reports."""
+    return lambda result: {name: result[name] for name in names}
 
 
 def _guan_gate_scan() -> dict:
@@ -139,13 +124,6 @@ def _star_cases() -> dict:
             },
         }
     return out
-
-
-def _mukai_fields(rep: ledger.MukaiSolveReport) -> dict:
-    return {
-        "vector": _attrs("rank", "c1_coeff", "s")(rep.vector),
-        **_attrs("self_pairing", "chi_untwisted", "chi_twisted_down", "stability_input")(rep),
-    }
 
 
 def _cone_scan() -> dict:
@@ -197,7 +175,7 @@ def _chi_table_fields(t: ledger.SectionCountLedger) -> dict:
     return {
         "values": {f"chi({e.p},{e.q})": e.chi for e in t.entries},
         "h0_sources": {f"chi({e.p},{e.q})": e.h0_source for e in t.entries},
-        **_attrs("k_L", "W6", "W10", "W36")(t),
+        "k_L": t.k_L, "W6": t.W6, "W10": t.W10, "W36": t.W36,
     }
 
 
@@ -213,63 +191,47 @@ def _degree_bounds() -> dict:
 
 
 CERTIFICATES: dict[str, Callable[[], dict]] = {
-    "guan-gate": Certificate(_guan_gate_scan, claim=None, fields=dict),
-    "star": Certificate(_star_cases, claim=None, fields=dict),
+    "guan-gate": Certificate(_guan_gate_scan, claim=None),
+    "star": Certificate(_star_cases, claim=None),
     # the h4 refutations decide UNSAT or SAT in the engine
-    "nefcone-plane": Certificate(
-        lambda: h4.lagrangian_plane_certificate(), claim=None, fields=_refutation_fields
-    ),
-    "contract-surface": Certificate(
-        lambda: h4.contracted_surface_certificate(), claim=None, fields=_contract_surface_fields
-    ),
-    "sigma-split": Certificate(
-        lambda: h4.sigma_split_certificate(), claim=None, fields=_refutation_fields
-    ),
-    "segre": Certificate(
-        lambda: ledger.segre_certificate(),
-        claim=lambda s: s.rank == 4,
-        fields=_attrs("matrix", "determinant", "det_cofactor", "det_fraction_free", "rank"),
-    ),
+    "nefcone-plane": Certificate(lambda: h4.lagrangian_plane_certificate(), claim=None),
+    "contract-surface": Certificate(lambda: h4.contracted_surface_certificate(), claim=None),
+    "sigma-split": Certificate(lambda: h4.sigma_split_certificate(), claim=None),
+    "segre": Certificate(lambda: ledger.segre_certificate(), claim=lambda s: s["rank"] == 4),
     "koszul": Certificate(
         lambda: ledger.koszul_counts(),
         claim=None,
-        fields=_attrs("ideal_LM", "ideal_L2M2", "h1_ideal_L2M2", "restricted_L2M2",
-                      "restriction_rank_LM"),
+        fields=_keys("ideal_LM", "ideal_L2M2", "h1_ideal_L2M2", "restricted_L2M2",
+                     "restriction_rank_LM"),
     ),
     "castelnuovo": Certificate(
         lambda: ledger.koszul_counts(),
-        claim=lambda rep: rep.contradiction,
-        fields=_attrs("quadric_lower_bound", "castelnuovo_max", "contradiction"),
+        claim=lambda rep: rep["contradiction"],
+        fields=_keys("quadric_lower_bound", "castelnuovo_max", "contradiction"),
     ),
-    "mukai": Certificate(
-        lambda: ledger.mukai_solve(),
-        claim=lambda rep: rep.vector.is_spherical,
-        fields=_mukai_fields,
-    ),
+    # the Mukai vector v is spherical: <v, v> = -2
+    "mukai": Certificate(lambda: ledger.mukai_solve(), claim=lambda rep: rep["self_pairing"] == -2),
     "k3-checks": Certificate(
         lambda: ledger.k3_exceptional_checks(),
-        claim=lambda rep: rep.is_degree2_k3,
-        fields=_attrs("chi_O_minus_E", "chi_O_E", "h_squared", "is_degree2_k3",
-                      H_sigma_squared="h_squared"),
+        claim=lambda rep: rep["is_degree2_k3"],
+        fields=lambda rep: {**rep, "H_sigma_squared": rep["h_squared"]},
     ),
     "cones": Certificate(
         _cone_scan,
         claim=lambda v: all(x >= 0 for t0 in (0, 1) for x in v[f"t0_{t0}"]["duality_products"]),
-        fields=dict,
     ),
     "reflection": Certificate(
         _reflection_checks,
         claim=lambda v: all(v[k] for k in ("swaps_l_m", "negates_e", "involution_on_sample",
                                            "preserves_q_on_sample")),
-        fields=dict,
     ),
-    "bott": Certificate(_bott_table, claim=lambda v: v["serre_duality_ok"], fields=dict),
+    "bott": Certificate(_bott_table, claim=lambda v: v["serre_duality_ok"]),
     "chi-table": Certificate(
         lambda: ledger.chi_table(),
         claim=lambda t: all(e.chi == binom(e.p * e.q + 3, 2) for e in t.entries),
         fields=_chi_table_fields,
     ),
-    "bounds": Certificate(_degree_bounds, claim=None, fields=dict),
+    "bounds": Certificate(_degree_bounds, claim=None),
 }
 
 def load_expectations() -> dict:
@@ -424,7 +386,10 @@ def _parse_scenario(doc) -> tuple:
 
 
 def run_scenario(doc: dict, betti_path: Optional[str] = None) -> dict:
-    """Normalize the pair, derive a, classify, and run the relevant certificates."""
+    """Normalize the pair, derive a, classify, and run the relevant certificates.
+
+    Returns plain JSON values: each block is converted once, where it is built.
+    """
     n, lat, l, m, over, over_betti_path = _parse_scenario(doc)
     try:  # the normalization needs q(l) = 0 and q(l, m) != 0
         norm = lattices.hyperbolic_pair_normalize(lat.q(l), lat.q(m), lat.pair(l, m))
@@ -438,13 +403,13 @@ def run_scenario(doc: dict, betti_path: Optional[str] = None) -> dict:
                          EXIT_PRECONDITION)
     a = int(a_val)
 
-    out: dict = {
+    out = to_jsonable({
         "n": n,
-        "normalization": to_jsonable(norm),
+        "normalization": norm,
         "a": a,
         "c_X": c_X,
         "degree_bound": classifier.fujiki_degree_bound(n, a),
-    }
+    })
     if n == 2:
         table = _load("Betti data", classifier.load_betti_table, betti_path or over_betti_path)
         report = classifier.classify(a, betti_table=table, restrict_ax=over.get("A_X"))
@@ -456,12 +421,12 @@ def run_scenario(doc: dict, betti_path: Optional[str] = None) -> dict:
             for opt in sol.q_options
         ):
             ids = sorted(CERTIFICATES)
-        suite = run_suite(ids)
-        out["certificates"] = suite
+        out["certificates"] = run_suite(ids)
     else:
+        principal = None
         if a == 1:
             rr = fujiki.rr_lagrangian_form(n, 1, 1, 0)
-            out["principal_case"] = {
+            principal = {
                 "q_lm": 1,
                 "q_m": 0,
                 "form": "EVEN",
@@ -470,8 +435,8 @@ def run_scenario(doc: dict, betti_path: Optional[str] = None) -> dict:
                 "hyperbolic_plane": True,
             }
             if c_X is not None and rr.c_X != c_X:
-                out["principal_case"]["c_X_override_consistent"] = False
-        out.setdefault("principal_case", None)
+                principal["c_X_override_consistent"] = False
+        out["principal_case"] = to_jsonable(principal)
     return out
 
 
@@ -480,7 +445,10 @@ def run_scenario(doc: dict, betti_path: Optional[str] = None) -> dict:
 
 
 def _emit(args, payload, echo: bool = True) -> None:
-    """Serialize ``payload`` at most once: the same string goes to --json and, if echo, stdout."""
+    """Serialize ``payload`` at most once: the same string goes to --json and, if echo, stdout.
+
+    ``payload`` holds plain JSON values only; each command converts its own.
+    """
     data = dumps_canonical(payload) if echo or args.json_path else ""
     if args.json_path:
         try:
@@ -526,7 +494,7 @@ def _run(args) -> int:
     if args.command == "ledger":
         t = ledger.chi_table()
         print(t.to_markdown() + "\n")
-        _emit(args, t)
+        _emit(args, to_jsonable(t))
         return EXIT_OK
 
     table = _load("Betti data", classifier.load_betti_table, args.betti_data)  # report
@@ -581,7 +549,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_verify = sub.add_parser("verify", parents=[out], help="run one certificate or all of them")
     p_verify.add_argument("name", choices=[*sorted(CERTIFICATES), "all"],
                           help='certificate id or "all"')
-    p_verify.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     p_scenario = sub.add_parser("scenario", parents=[out],
                                 help="ingest a scenario file and report")
@@ -592,7 +559,6 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     p_report = sub.add_parser("report", parents=[out],
                               help="full suite: classifications plus all certificates")
-    p_report.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_report.add_argument("--betti-data", dest="betti_data")
 
     try:

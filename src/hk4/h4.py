@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Sequence
 
 from .fujiki import fujiki4_pairing
 from .lattices import U, U2
@@ -154,15 +154,6 @@ def boundary_value(eta: H4Class, omega: BoundaryWitness = OMEGA) -> Q:
     return eta.l2 * 2 * ql * ql + eta.lm * 2 * ql * qm + eta.m2 * 2 * qm * qm
 
 
-@dataclass(frozen=True)
-class CertificateResult:
-    name: str
-    status: str  # UNSAT | SAT | PASS
-    deduction: tuple[str, ...]
-    witnesses: tuple[str, ...]
-    values: dict
-
-
 # ---------------------------------------------------------------------------
 # polynomial-in-w helpers (quadratic interpolation; the pairings are quadratic)
 
@@ -237,7 +228,7 @@ def _proportional(p: RatPoly, q: RatPoly) -> bool:
 # certificate 1: no Lagrangian plane
 
 
-def lagrangian_plane_certificate() -> CertificateResult:
+def lagrangian_plane_certificate() -> dict:
     """Eliminate (t, u) from the three plane equations and certify no integer root.
 
     A Lagrangian plane with line class dual to A would give, with x = q(A),
@@ -331,10 +322,9 @@ def lagrangian_plane_certificate() -> CertificateResult:
         and not integer_roots
         and all(b["consistent"] for b in back)
     )
-    return CertificateResult(
-        name="nefcone-plane",
-        status="UNSAT" if ok else "SAT",
-        deduction=(
+    return {
+        "status": "UNSAT" if ok else "SAT",
+        "deduction": (
             "Cramer elimination of (t, u) from the two linear equations, substituted "
             f"into the quadratic one, gives x^{stripped} * ({quad.pretty('x')}) up to "
             "a rational factor",
@@ -344,17 +334,14 @@ def lagrangian_plane_certificate() -> CertificateResult:
             "integer-root scan over divisors of 525: none",
             "q(A) must be an integer, so no Lagrangian plane class exists",
         ),
-        witnesses=(),
-        values={
-            "quadratic": [quad.coefficient(k) for k in range(3)],
-            "quadratic_resultant": [quad_res.coefficient(k) for k in range(3)],
-            "roots": sorted(roots),
-            "integer_roots": integer_roots,
-            "rational_roots": rational_roots,
-            "back_substitution": back,
-            "discriminant": disc,
-        },
-    )
+        "quadratic": [quad.coefficient(k) for k in range(3)],
+        "quadratic_resultant": [quad_res.coefficient(k) for k in range(3)],
+        "roots": sorted(roots),
+        "integer_roots": integer_roots,
+        "rational_roots": rational_roots,
+        "back_substitution": back,
+        "discriminant": disc,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +369,7 @@ def _contracted_class(t: int) -> "tuple":
 
 def contracted_surface_certificate(
     t_values: Sequence[int] = (1, 2, 3, 4), probe: int = 5
-) -> CertificateResult:
+) -> dict:
     """No surface can be contracted to a point: 25w = t with 5w integral fails.
 
     A contracted surface S would have intersection matrix t * ((1,-1),(-1,1))
@@ -425,10 +412,9 @@ def contracted_surface_certificate(
             all_unsat = False
     probe_case = cases[-1]
     ok = all_unsat and probe_case["verdict"] == "SAT-candidate"
-    return CertificateResult(
-        name="contract-surface",
-        status="UNSAT" if ok else "SAT",
-        deduction=(
+    return {
+        "status": "UNSAT" if ok else "SAT",
+        "deduction": (
             "2 [S]^2 = 3 t^2 + 525 w^2 must be twice an integer, so 525 w^2 is an "
             "integer and the denominator of w divides 5: 5w is an integer",
             "witness omega = l + m + e' - f': integral(S omega^2) = t - 25w >= 0 and "
@@ -437,16 +423,18 @@ def contracted_surface_certificate(
             f"probe t = {probe} gives w = {Q(probe, 25)} with 5w = {Q(probe, 5)} "
             "surviving both constraints (non-vacuity)",
         ),
-        witnesses=("omega = l + m + e' - f' (q = 0, q(.,l) = q(.,m) = 1)",),
-        values={"cases": cases},
-    )
+        "witnesses": ("omega = l + m + e' - f' (q = 0, q(.,l) = q(.,m) = 1)",),
+        "cases": cases,
+        "unsat_t": [c["t"] for c in cases if c["verdict"] == "UNSAT"],
+        "probe_survives": any(c["probe"] and c["verdict"] == "SAT-candidate" for c in cases),
+    }
 
 
 # ---------------------------------------------------------------------------
 # certificate 3: the class lm does not split
 
 
-def sigma_split_certificate(max_w_numerator: int = 10) -> CertificateResult:
+def sigma_split_certificate(max_w_numerator: int = 10) -> dict:
     """The class lm cannot split as [Sigma_1] + [Sigma_2] with M = ((0,1),(1,0)).
 
     Such a splitting forces [Sigma_i] = (1/2) lm -+ w (q-dual - (25/2) lm)
@@ -494,10 +482,9 @@ def sigma_split_certificate(max_w_numerator: int = 10) -> CertificateResult:
     w_min = Q(1, 5)  # forced by integrality (denominator | 5, 525 w^2 odd, w > 0)
     w_max = Q(1, 25)  # forced by the witness inequality 1 - 25w >= 0
     ok = all_killed and w_min > w_max
-    return CertificateResult(
-        name="sigma-split",
-        status="UNSAT" if ok else "SAT",
-        deduction=(
+    return {
+        "status": "UNSAT" if ok else "SAT",
+        "deduction": (
             f"exact pairings: Sigma_1^2 = {s1_sq.pretty('w')}; "
             f"Sigma_1.Sigma_2 = {cross.pretty('w')}; equivalently "
             f"2 Sigma_1^2 = {two_s1_sq.pretty('w')} and 2 Sigma_1.Sigma_2 = {two_cross.pretty('w')}",
@@ -508,17 +495,15 @@ def sigma_split_certificate(max_w_numerator: int = 10) -> CertificateResult:
             f"means integral(Sigma_2 omega^2) = {bv_s2.pretty('w')} >= 0: w <= 1/25",
             "1/5 > 1/25: the two constraints are jointly infeasible, UNSAT",
         ),
-        witnesses=("omega = l + m + e' - f' (q = 0, q(.,l) = q(.,m) = 1)",),
-        values={
-            "sigma1_sq": [s1_sq.coefficient(k) for k in range(3)],
-            "sigma2_sq": [s2_sq.coefficient(k) for k in range(3)],
-            "sigma1_sigma2": [cross.coefficient(k) for k in range(3)],
-            "two_sigma1_sq": [two_s1_sq.coefficient(k) for k in range(3)],
-            "two_sigma1_sigma2": [two_cross.coefficient(k) for k in range(3)],
-            "boundary_sigma2": [bv_s2.coefficient(k) for k in range(2)],
-            "boundary_sigma1": [bv_s1.coefficient(k) for k in range(2)],
-            "w_min_integrality": w_min,
-            "w_max_witness": w_max,
-            "candidates": candidates,
-        },
-    )
+        "witnesses": ("omega = l + m + e' - f' (q = 0, q(.,l) = q(.,m) = 1)",),
+        "sigma1_sq": [s1_sq.coefficient(k) for k in range(3)],
+        "sigma2_sq": [s2_sq.coefficient(k) for k in range(3)],
+        "sigma1_sigma2": [cross.coefficient(k) for k in range(3)],
+        "two_sigma1_sq": [two_s1_sq.coefficient(k) for k in range(3)],
+        "two_sigma1_sigma2": [two_cross.coefficient(k) for k in range(3)],
+        "boundary_sigma2": [bv_s2.coefficient(k) for k in range(2)],
+        "boundary_sigma1": [bv_s1.coefficient(k) for k in range(2)],
+        "w_min_integrality": w_min,
+        "w_max_witness": w_max,
+        "candidates": candidates,
+    }

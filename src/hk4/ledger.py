@@ -106,29 +106,12 @@ def chi_table() -> SectionCountLedger:
     return ledger
 
 
-@dataclass(frozen=True)
-class KoszulReport:
-    """Section counts of the two-divisor intersection surface via Koszul resolutions.
-
-    The h^1 vanishing of the twisted ideal sheaf is an input hypothesis of
-    the resolution argument, recorded as such and not rederived.
-    """
-
-    h0_L: int
-    h0_M: int
-    ideal_LM: int  # h0(I(L M)) = h0(L) + h0(M) - 1
-    ideal_L2M2: int  # h0(I(L^2 M^2)) = chi(2,1) + chi(1,2) - chi(1,1)
-    h1_ideal_L2M2: int  # input vanishing hypothesis
-    restricted_L2M2: int  # h0 on the surface: chi(2,2) - ideal_L2M2
-    restriction_rank_LM: int  # rank of H0(L M) -> H0(surface)
-    quadric_lower_bound: int  # binom(4+2, 2) - restricted_L2M2
-    castelnuovo_max: int  # binom(2+1, 2)
-    contradiction: bool
-
-
-def koszul_counts(h0_L: int = 1, h0_M: int = 1) -> KoszulReport:
+def koszul_counts(h0_L: int = 1, h0_M: int = 1) -> dict:
     """Koszul/Castelnuovo bookkeeping; defaults sit on the h0(L)+h0(M) = 2 branch.
 
+    The section counts of the two-divisor intersection surface come from
+    Koszul resolutions.  The h^1 vanishing of the twisted ideal sheaf is an
+    input hypothesis of that argument, recorded as such and not rederived.
     A nondegenerate surface in P^4 lying on 8 independent quadrics violates
     the Castelnuovo bound binom(2+1, 2) = 3; that contradiction is the
     content of the final flag.
@@ -137,21 +120,20 @@ def koszul_counts(h0_L: int = 1, h0_M: int = 1) -> KoszulReport:
     ideal_lm = h0_L + h0_M - 1
     ideal_l2m2 = chi21 + chi12 - chi11
     restricted = chi22 - ideal_l2m2
-    rank_lm = chi11 - ideal_lm
     quadrics = comb(4 + 2, 2) - restricted
     castelnuovo = comb(2 + 1, 2)
-    return KoszulReport(
-        h0_L=h0_L,
-        h0_M=h0_M,
-        ideal_LM=ideal_lm,
-        ideal_L2M2=ideal_l2m2,
-        h1_ideal_L2M2=0,
-        restricted_L2M2=restricted,
-        restriction_rank_LM=rank_lm,
-        quadric_lower_bound=quadrics,
-        castelnuovo_max=castelnuovo,
-        contradiction=quadrics > castelnuovo,
-    )
+    return {
+        "h0_L": h0_L,
+        "h0_M": h0_M,
+        "ideal_LM": ideal_lm,  # h0(I(L M)) = h0(L) + h0(M) - 1
+        "ideal_L2M2": ideal_l2m2,  # h0(I(L^2 M^2)) = chi(2,1) + chi(1,2) - chi(1,1)
+        "h1_ideal_L2M2": 0,  # input vanishing hypothesis
+        "restricted_L2M2": restricted,  # h0 on the surface: chi(2,2) - ideal_L2M2
+        "restriction_rank_LM": chi11 - ideal_lm,  # rank of H0(L M) -> H0(surface)
+        "quadric_lower_bound": quadrics,  # binom(4+2, 2) - restricted_L2M2
+        "castelnuovo_max": castelnuovo,  # binom(2+1, 2)
+        "contradiction": quadrics > castelnuovo,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -196,21 +178,12 @@ def _det_fraction_free(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SegreSystem:
-    matrix: tuple[tuple[int, ...], ...]
-    determinant: int
-    rank: int
-    det_cofactor: int
-    det_fraction_free: int
-
-
 #: Exact determinant of the 4x4 relation matrix, frozen after computing it
 #: with two independent methods (cofactor expansion and Bareiss elimination).
 SEGRE_DET_GOLDEN = 70785
 
 
-def segre_certificate() -> SegreSystem:
+def segre_certificate() -> dict:
     """Four independent linear relations kill the ample-power intersection numbers.
 
     Rows i = 8..11 express the vanishing of H^(11-i) s_i(E (x) H) against the
@@ -223,13 +196,13 @@ def segre_certificate() -> SegreSystem:
     d_ff = _det_fraction_free(rows)
     if d_cof != d_ff:
         raise AssertionError("determinant methods disagree")
-    return SegreSystem(
-        matrix=rows,
-        determinant=d_cof,
-        rank=4 if d_cof != 0 else 3,
-        det_cofactor=d_cof,
-        det_fraction_free=d_ff,
-    )
+    return {
+        "matrix": rows,
+        "determinant": d_cof,
+        "rank": 4 if d_cof != 0 else 3,
+        "det_cofactor": d_cof,
+        "det_fraction_free": d_ff,
+    }
 
 
 def hopf_chain_bound(start: int, steps: int, cap: int) -> bool:
@@ -350,16 +323,7 @@ class MukaiVector:
         )
 
 
-@dataclass(frozen=True)
-class MukaiSolveReport:
-    vector: MukaiVector
-    chi_untwisted: int  # chi(Sigma, E) = chi(X, L) - chi(X, L(-E))
-    chi_twisted_down: int  # chi(Sigma, E(-H)) = chi(X, M^-1) - chi(X, L M^-2)
-    self_pairing: int
-    stability_input: str
-
-
-def mukai_solve() -> MukaiSolveReport:
+def mukai_solve() -> dict:
     """Solve for the Mukai vector (2, H, 1) of the rank-2 bundle on the K3 side.
 
     The exceptional divisor is a P^1-bundle over the K3 surface with the
@@ -378,24 +342,16 @@ def mukai_solve() -> MukaiSolveReport:
     v = MukaiVector(rank=2, c1_coeff=s, s=s_prime)
     if v.twist(-1).chi() != chi_E_down or v.chi() != chi_E:
         raise AssertionError("the solved Mukai vector does not reproduce its chi inputs")
-    return MukaiSolveReport(
-        vector=v,
-        chi_untwisted=chi_E,
-        chi_twisted_down=chi_E_down,
-        self_pairing=v.pairing(v),
-        stability_input="h^0(Sigma, E(-H)) = 0 via the vanishing h^1(X, L M^-2) = 0",
-    )
+    return {
+        "vector": {"rank": v.rank, "c1_coeff": v.c1_coeff, "s": v.s},
+        "chi_untwisted": chi_E,  # chi(Sigma, E) = chi(X, L) - chi(X, L(-E))
+        "chi_twisted_down": chi_E_down,  # chi(Sigma, E(-H)) = chi(X, M^-1) - chi(X, L M^-2)
+        "self_pairing": v.pairing(v),
+        "stability_input": "h^0(Sigma, E(-H)) = 0 via the vanishing h^1(X, L M^-2) = 0",
+    }
 
 
-@dataclass(frozen=True)
-class K3Checks:
-    chi_O_minus_E: Q  # P_RR(q(l - m)) = P_RR(-2)
-    chi_O_E: Q  # chi(O_X) - chi(O(-E)) = 3 - 1
-    h_squared: Q  # integral((l+m)^2 (-l+m) l)
-    is_degree2_k3: bool
-
-
-def k3_exceptional_checks() -> K3Checks:
+def k3_exceptional_checks() -> dict:
     """The contracted surface is a polarized K3 of degree 2.
 
     chi(E, O_E) = chi(O_X) - chi(X, O(-E)) = 3 - P_RR(-2) = 2 identifies the
@@ -405,9 +361,9 @@ def k3_exceptional_checks() -> K3Checks:
     chi_minus_e = RR(U.q((1, -1)))  # q(l - m) = -2
     chi_oe = RR(0) - chi_minus_e
     h2 = fujiki4_pairing(3, U, (1, 1), (1, 1), (-1, 1), (1, 0))
-    return K3Checks(
-        chi_O_minus_E=chi_minus_e,
-        chi_O_E=chi_oe,
-        h_squared=h2,
-        is_degree2_k3=(chi_oe == 2 and h2 == 2),
-    )
+    return {
+        "chi_O_minus_E": chi_minus_e,  # P_RR(q(l - m)) = P_RR(-2)
+        "chi_O_E": chi_oe,  # chi(O_X) - chi(O(-E)) = 3 - 1
+        "h_squared": h2,  # integral((l+m)^2 (-l+m) l)
+        "is_degree2_k3": chi_oe == 2 and h2 == 2,
+    }

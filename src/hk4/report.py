@@ -4,14 +4,16 @@ Identical input must produce byte-identical JSON, so keys are sorted, every
 rational is serialized in lowest terms as "p/q" (or "p"), and containers are
 converted to lists in a fixed order.  No decimal rendering happens here.
 
-Serialization is two steps, each with one job.  ``to_jsonable`` is the only
-place that knows engine types: it turns dataclasses, rationals, polynomials,
-sets and tuples into plain JSON values (dicts with string keys, lists,
-strings, integers, booleans and None).  ``dumps_canonical`` writes plain JSON
-values and knows nothing else.
+Serialization is two steps, each with one job, and each value goes through
+each step once.  ``to_jsonable`` is the only place that knows engine types:
+it turns dataclasses, rationals, polynomials, sets and tuples into plain JSON
+values (dicts with string keys, lists, strings, integers, booleans and
+None).  Each command converts its payload where it builds it.
+``dumps_canonical`` writes plain JSON values and knows nothing else: anything
+else (a tuple, a rational, a float, an engine object) raises TypeError.
 
-Byte contract: ``dumps_canonical(obj)`` is exactly
-``json.dumps(to_jsonable(obj), sort_keys=True, indent=2) + "\\n"``, that is
+Byte contract: for plain JSON values ``plain``, ``dumps_canonical(plain)`` is
+exactly ``json.dumps(plain, sort_keys=True, indent=2) + "\\n"``, that is
 ASCII only (``\\uXXXX`` escapes), keys sorted, two-space indent, ``",\\n"``
 between items and ``": "`` after keys, ``{}`` and ``[]`` for empty
 containers.  The tests hold it to that call as their oracle.  It is not made
@@ -86,10 +88,10 @@ def _to_jsonable_general(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def dumps_canonical(obj) -> str:
-    """The canonical JSON text of ``obj``, ending in a newline (see the byte contract above)."""
+def dumps_canonical(plain) -> str:
+    """The canonical JSON text of plain JSON values, ending in a newline (see the byte contract)."""
     out: list[str] = []
-    _emit(to_jsonable(obj), out, "\n")
+    _emit(plain, out, "\n")
     out.append("\n")
     return "".join(out)
 

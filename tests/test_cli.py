@@ -39,6 +39,25 @@ K3SQ = {
     "overrides": {"c_X": "3"},
 }
 
+#: sha256 of the file written by ``hk4 scenario PATH --json OUT`` (the same bytes go to
+#: stdout): the three ``scripts/scenario_examples.py`` documents, and an n = 2 document
+#: with ``overrides.a = 1``, which runs all 15 certificates.
+SCENARIO_SHA256 = {
+    "hyperbolic_cx3": "20f84abc382802689eabd91f9249257729a8c06fff513c051e9c8972c2f2fd7e",
+    "hyperbolic_cx9": "0faa1178aea551ccf215cad8bf6980cc6833d35c1522c08ad28f4a42cd764ce8",
+    "dim10_cx945": "1a9ff398847f6e387bab1789f93abccda33fac98d23799a95dd1e4b03752b05e",
+    "a1": "788e6c6bcc35b0242e40a1311ff5e6e1d8c472b699ab635e79eac0d74e0a25fe",
+}
+SCENARIO_DOCS = {
+    "hyperbolic_cx3": K3SQ,
+    "hyperbolic_cx9": dict(K3SQ, overrides={"c_X": "9"}),
+    "dim10_cx945": dict(K3SQ, n=5, overrides={"c_X": "945"}),
+    "a1": dict(K3SQ, overrides={"a": 1}),
+}
+
+#: sha256 of the file written by ``hk4 ledger --json PATH``.
+LEDGER_SHA256 = "a3ee0e7ac088eabcadc6c10445bba2d21b24a94c54a54b10f17800bb4418a78b"
+
 
 class TestClassifyCommand:
     def test_a1_exit_zero(self):
@@ -155,6 +174,15 @@ class TestScenarioCommand:
         path.write_text(json.dumps(doc))
         assert run_cli("scenario", str(path)).returncode == 3
 
+    @pytest.mark.parametrize("name", sorted(SCENARIO_SHA256))
+    def test_scenario_digest_pinned(self, tmp_path, name):
+        path, out = tmp_path / "s.json", tmp_path / "out.json"
+        path.write_text(json.dumps(SCENARIO_DOCS[name]))
+        res = run_cli("scenario", str(path), "--json", str(out))
+        assert res.returncode == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == SCENARIO_SHA256[name]
+        assert res.stdout == out.read_text()
+
     def test_normalization_invariance(self):
         # m -> -m and m -> m + r*l produce the identical classification block
         def classification(gram, l, m):
@@ -182,11 +210,18 @@ class TestLedgerCommand:
         doc = json.loads(out.read_text())
         assert doc["k_L"] == 1
 
+    def test_ledger_digest_pinned(self, tmp_path):
+        out = tmp_path / "ledger.json"
+        res = run_cli("ledger", "--json", str(out))
+        assert res.returncode == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == LEDGER_SHA256
+        assert res.stdout.endswith(out.read_text())
+
 
 class TestReportCommand:
     def test_full_report(self, tmp_path):
         out = tmp_path / "report.json"
-        res = run_cli("report", "--json", str(out), "--jobs", "4")
+        res = run_cli("report", "--json", str(out))
         assert res.returncode == 0
         doc = json.loads(out.read_text())
         assert doc["all_expected_verdicts_reproduced"] is True
@@ -209,7 +244,7 @@ class TestReportCommand:
     def test_deterministic_across_runs(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run_cli("report", "--json", str(a))
-        run_cli("report", "--json", str(b), "--jobs", "3")
+        run_cli("report", "--json", str(b))
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -245,15 +280,41 @@ class TestCertificateTable:
         import hk4.cli as cli
 
         real = ledger.koszul_counts()
-        monkeypatch.setattr(
-            ledger, "koszul_counts", lambda: dataclasses.replace(real, contradiction=False)
-        )
+        monkeypatch.setattr(ledger, "koszul_counts", lambda: {**real, "contradiction": False})
         monkeypatch.setattr(cli, "load_expectations", lambda: {})
         res = run_certificate("castelnuovo")
         assert res["values"]["status"] == "FAIL"
         assert res["result"] == "FAIL"
         assert main(["verify", "castelnuovo"]) == 1
         assert "castelnuovo: FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("name, engine, wrong", [
+        ("segre", "segre_certificate", {"rank": 3}),
+        ("mukai", "mukai_solve", {"self_pairing": 0}),
+        ("k3-checks", "k3_exceptional_checks", {"is_degree2_k3": False}),
+    ])
+    def test_ledger_claims_fail_on_a_wrong_result(self, monkeypatch, name, engine, wrong):
+        import hk4.cli as cli
+
+        real = getattr(ledger, engine)()
+        monkeypatch.setattr(ledger, engine, lambda: {**real, **wrong})
+        monkeypatch.setattr(cli, "load_expectations", lambda: {})
+        assert run_certificate(name)["values"]["status"] == "FAIL"
+        assert main(["verify", name]) == 1
+
+    def test_engine_status_is_kept(self, monkeypatch, capsys):
+        # an h4 refutation that finds its search space non-empty reports SAT, and that fails
+        import hk4.cli as cli
+        from hk4 import h4
+
+        real = h4.sigma_split_certificate()
+        monkeypatch.setattr(h4, "sigma_split_certificate", lambda: {**real, "status": "SAT"})
+        monkeypatch.setattr(cli, "load_expectations", lambda: {})
+        res = run_certificate("sigma-split")
+        assert res["values"]["status"] == "SAT"
+        assert res["result"] == "FAIL"
+        assert main(["verify", "sigma-split"]) == 1
+        assert "sigma-split: FAIL" in capsys.readouterr().out
 
     def test_chi_table_claim_fails_on_a_wrong_chi(self, monkeypatch):
         import hk4.cli as cli
@@ -383,7 +444,8 @@ class TestInputBoundary:
         assert "Traceback" not in res.stderr
 
     def test_usage_errors_are_one_line(self):
-        for argv in ([], ["verify", "bogus"], ["classify"], ["classify", "--a", "x"]):
+        for argv in ([], ["verify", "bogus"], ["classify"], ["classify", "--a", "x"],
+                     ["report", "--jobs", "4"], ["verify", "all", "--jobs", "4"]):
             code, _, err = run_main(*argv)
             assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 

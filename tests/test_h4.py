@@ -146,9 +146,8 @@ class TestResultantMachinery:
 
 class TestLagrangianPlane:
     def test_certificate(self):
-        res = lagrangian_plane_certificate()
-        assert res.status == "UNSAT"
-        v = res.values
+        v = lagrangian_plane_certificate()
+        assert v["status"] == "UNSAT"
         assert v["quadratic"] == [Q(-525), Q(20), Q(92)]
         assert v["quadratic_resultant"] == [Q(-525), Q(20), Q(92)]
         assert v["roots"] == [Q(-5, 2), Q(105, 46)]
@@ -158,7 +157,7 @@ class TestLagrangianPlane:
 
     def test_back_substitution(self):
         res = lagrangian_plane_certificate()
-        back = res.values["back_substitution"]
+        back = res["back_substitution"]
         assert len(back) == 2 and all(b["consistent"] for b in back)
         # spot-check the x = -5/2 branch
         b = next(e for e in back if e["x"] == Q(-5, 2))
@@ -168,8 +167,8 @@ class TestLagrangianPlane:
 class TestContractedSurface:
     def test_certificate(self):
         res = contracted_surface_certificate()
-        assert res.status == "UNSAT"
-        cases = {c["t"]: c for c in res.values["cases"]}
+        assert res["status"] == "UNSAT"
+        cases = {c["t"]: c for c in res["cases"]}
         for t in (1, 2, 3, 4):
             c = cases[t]
             assert c["verdict"] == "UNSAT"
@@ -184,7 +183,7 @@ class TestContractedSurface:
 
     def test_probe_is_not_vacuous(self):
         res = contracted_surface_certificate()
-        probe = next(c for c in res.values["cases"] if c["probe"])
+        probe = next(c for c in res["cases"] if c["probe"])
         assert probe["t"] == 5
         assert probe["verdict"] == "SAT-candidate"
         assert probe["five_w"] == 1
@@ -192,9 +191,8 @@ class TestContractedSurface:
 
 class TestSigmaSplit:
     def test_certificate(self):
-        res = sigma_split_certificate()
-        assert res.status == "UNSAT"
-        v = res.values
+        v = sigma_split_certificate()
+        assert v["status"] == "UNSAT"
         assert v["sigma1_sq"] == [Q(1, 2), 0, Q(525, 2)]
         assert v["sigma2_sq"] == v["sigma1_sq"]
         assert v["sigma1_sigma2"] == [Q(1, 2), 0, Q(-525, 2)]
@@ -206,7 +204,7 @@ class TestSigmaSplit:
         assert v["w_max_witness"] == Q(1, 25)
 
     def test_both_kill_paths_fire(self):
-        v = sigma_split_certificate().values
+        v = sigma_split_certificate()
         by_w = {c["w"]: c for c in v["candidates"]}
         assert all(c["killed"] for c in v["candidates"])
         # w = 0: integrality kill (Sigma_1^2 = 1/2)

@@ -65,17 +65,17 @@ class TestChiTable:
 class TestKoszul:
     def test_counts_on_the_contradiction_branch(self):
         rep = koszul_counts()
-        assert rep.ideal_LM == 1
-        assert rep.ideal_L2M2 == 10 + 10 - 6 == 14
-        assert rep.restricted_L2M2 == 21 - 14 == 7
-        assert rep.restriction_rank_LM == 6 - 1 == 5
-        assert rep.quadric_lower_bound == comb(6, 2) - 7 == 8
-        assert rep.castelnuovo_max == comb(3, 2) == 3
-        assert rep.contradiction
+        assert rep["ideal_LM"] == 1
+        assert rep["ideal_L2M2"] == 10 + 10 - 6 == 14
+        assert rep["restricted_L2M2"] == 21 - 14 == 7
+        assert rep["restriction_rank_LM"] == 6 - 1 == 5
+        assert rep["quadric_lower_bound"] == comb(6, 2) - 7 == 8
+        assert rep["castelnuovo_max"] == comb(3, 2) == 3
+        assert rep["contradiction"]
 
     def test_general_inputs(self):
         rep = koszul_counts(h0_L=3, h0_M=1)
-        assert rep.ideal_LM == 3
+        assert rep["ideal_LM"] == 3
 
 
 class TestSegre:
@@ -87,9 +87,9 @@ class TestSegre:
 
     def test_certificate(self):
         sys_ = segre_certificate()
-        assert sys_.determinant == SEGRE_DET_GOLDEN == 70785
-        assert sys_.det_cofactor == sys_.det_fraction_free
-        assert sys_.rank == 4
+        assert sys_["determinant"] == SEGRE_DET_GOLDEN == 70785
+        assert sys_["det_cofactor"] == sys_["det_fraction_free"]
+        assert sys_["rank"] == 4
 
     def test_rows_against_power_series_oracle(self):
         # validate the twist identity s_i(E*H) = sum (-1)^j binom(i+2, j) H^j s_{i-j}(E)
@@ -174,10 +174,11 @@ class TestBott:
 class TestMukai:
     def test_solve(self):
         rep = mukai_solve()
-        assert (rep.vector.rank, rep.vector.c1_coeff, rep.vector.s) == (2, 1, 1)
-        assert rep.self_pairing == -2
-        assert rep.vector.is_spherical
-        assert rep.chi_untwisted == 3 and rep.chi_twisted_down == 3
+        vector = rep["vector"]
+        assert (vector["rank"], vector["c1_coeff"], vector["s"]) == (2, 1, 1)
+        assert rep["self_pairing"] == -2
+        assert MukaiVector(**vector).is_spherical
+        assert rep["chi_untwisted"] == 3 and rep["chi_twisted_down"] == 3
 
     def test_pairing_formula(self):
         v = MukaiVector(2, 1, 1)
@@ -191,9 +192,9 @@ class TestMukai:
         chi = lambda p, q: rr(U.q((p, q)))
         assert chi(1, 0) - chi(2, -1) == 3  # chi(Sigma, E)
         assert chi(0, -1) - chi(1, -2) == 3  # chi(Sigma, E(-H))
-        rep = mukai_solve()
-        assert rep.vector.chi() == chi(1, 0) - chi(2, -1)
-        assert rep.vector.twist(-1).chi() == chi(0, -1) - chi(1, -2)
+        vector = MukaiVector(**mukai_solve()["vector"])
+        assert vector.chi() == chi(1, 0) - chi(2, -1)
+        assert vector.twist(-1).chi() == chi(0, -1) - chi(1, -2)
 
     def test_twist_consistency(self):
         v = MukaiVector(2, 1, 1)
@@ -205,12 +206,12 @@ class TestMukai:
 class TestK3Checks:
     def test_values(self):
         rep = k3_exceptional_checks()
-        assert rep.chi_O_minus_E == 1
-        assert rep.chi_O_E == 2
-        assert rep.h_squared == 2
-        assert rep.is_degree2_k3
+        assert rep["chi_O_minus_E"] == 1
+        assert rep["chi_O_E"] == 2
+        assert rep["h_squared"] == 2
+        assert rep["is_degree2_k3"]
 
     def test_h_squared_is_the_four_class_integral(self):
-        assert k3_exceptional_checks().h_squared == fujiki4_pairing(
+        assert k3_exceptional_checks()["h_squared"] == fujiki4_pairing(
             3, U, (1, 1), (1, 1), (-1, 1), (1, 0)
         )
