@@ -4,7 +4,8 @@ Submodules: rationals (exact scalars and polynomials), lattices (quadratic
 lattices, cones, reflections), fujiki (degree integrals and the Riemann-Roch
 polynomial), classifier (the bounded Diophantine case analysis), h4 (degree-4
 Hodge classes and the UNSAT certificates), ledger (Euler-characteristic and
-section-count bookkeeping), cli (the hk4 command).
+section-count bookkeeping), report (canonical JSON serialization), cli (the
+hk4 command).
 """
 
 from .rationals import Q, RatPoly, binom, integer_valued_on, sqrt_rational

@@ -232,25 +232,18 @@ def _betti_grid() -> Mapping[Q, tuple[tuple[int, int, int], ...]]:
     return MappingProxyType({ax: tuple(triples) for ax, triples in grid.items()})
 
 
-def _betti_candidates(A_X: Q) -> tuple[tuple[int, int, int], ...]:
-    """All (b2, b3, b4) the built-in constraints admit for this A_X.
-
-    A candidate is a violation-free profile of the grid in `_betti_grid`
-    whose A_X matches; the grid is scanned once, and this is a lookup.
-    """
-    return _betti_grid().get(Q(A_X), ())
-
-
 def betti_options_for(A_X: Q, table: Sequence[dict]) -> tuple[list, list]:
     """Split the built-in candidate triples into (listed in data file, builtin only).
 
+    A candidate is a violation-free profile of the grid in `_betti_grid`
+    whose A_X matches; the grid is scanned once, and this is a lookup.
     Depends on A_X and the table only; `classify` calls it once per A_X
     that has an admitted q(l, m).  The table holds integer b2 and b3, as
     `load_betti_table` checks.
     """
     listed_pairs = {(e["b2"], e["b3"]) for e in table}
     in_table, builtin_only = [], []
-    for triple in _betti_candidates(Q(A_X)):
+    for triple in _betti_grid().get(Q(A_X), ()):
         (in_table if (triple[0], triple[1]) in listed_pairs else builtin_only).append(triple)
     return in_table, builtin_only
 

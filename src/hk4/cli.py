@@ -127,33 +127,16 @@ def _star_cases() -> dict:
 
 
 def _cone_scan() -> dict:
-    scan = lattices.prime_exceptional_scan()
-    out = {
-        "prime_exceptional": sorted(scan.classes),
-        "window": scan.window,
-        "divisibility_argument": scan.divisibility_argument,
-        "rejected_sample": [[list(v), why] for v, why in scan.rejected],
-    }
-    for t0 in (0, 1):
-        rep = lattices.cone_report(t0)
-        out[f"t0_{t0}"] = {
-            "positive": [list(v) for v in rep.positive_rays],
-            "movable": [list(v) for v in rep.movable_rays],
-            "nef": [list(v) for v in rep.nef_rays],
-            "psef": [list(v) for v in rep.psef_rays],
-            "exceptional": list(rep.exceptional_class) if rep.exceptional_class else None,
-            "case": rep.case_tag,
-            "duality_products": list(rep.duality_products()),
-        }
-    return out
+    return {**lattices.prime_exceptional_scan(),
+            **{f"t0_{t0}": lattices.cone_report(t0) for t0 in (0, 1)}}
 
 
-def _reflection_checks(count: int = 100) -> dict:
-    """The reflection in (-1, 1) on its generators and on a fixed-seed sample."""
+def _reflection_checks() -> dict:
+    """The reflection in (-1, 1) on its generators and on a fixed-seed sample of 100 classes."""
     import random
 
     rng = random.Random(20260810)
-    sample = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(count)]
+    sample = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(100)]
     refl = lattices.reflection_about((-1, 1))
     return {
         "swaps_l_m": refl((1, 0)) == (0, 1) and refl((0, 1)) == (1, 0),
@@ -171,11 +154,12 @@ def _bott_table() -> dict:
     return {"table": table, "serre_duality_ok": serre_ok}
 
 
-def _chi_table_fields(t: ledger.SectionCountLedger) -> dict:
+def _chi_table_fields(t: dict) -> dict:
+    entries = {f"chi({e['p']},{e['q']})": e for e in t["entries"]}
     return {
-        "values": {f"chi({e.p},{e.q})": e.chi for e in t.entries},
-        "h0_sources": {f"chi({e.p},{e.q})": e.h0_source for e in t.entries},
-        "k_L": t.k_L, "W6": t.W6, "W10": t.W10, "W36": t.W36,
+        "values": {k: e["chi"] for k, e in entries.items()},
+        "h0_sources": {k: e["h0_source"] for k, e in entries.items()},
+        **_keys("k_L", "W6", "W10", "W36")(t),
     }
 
 
@@ -228,7 +212,7 @@ CERTIFICATES: dict[str, Callable[[], dict]] = {
     "bott": Certificate(_bott_table, claim=lambda v: v["serre_duality_ok"]),
     "chi-table": Certificate(
         lambda: ledger.chi_table(),
-        claim=lambda t: all(e.chi == binom(e.p * e.q + 3, 2) for e in t.entries),
+        claim=lambda t: all(e["chi"] == binom(e["p"] * e["q"] + 3, 2) for e in t["entries"]),
         fields=_chi_table_fields,
     ),
     "bounds": Certificate(_degree_bounds, claim=None),
@@ -397,7 +381,7 @@ def run_scenario(doc: dict, betti_path: Optional[str] = None) -> dict:
         raise InputError(f"scenario precondition violated: {exc}", EXIT_PRECONDITION)
 
     c_X = over.get("c_X")
-    a_val = over["a"] if "a" in over else fujiki.a_from_fujiki(n, c_X, norm.q_lm)
+    a_val = over["a"] if "a" in over else fujiki.a_from_fujiki(n, c_X, norm["q_lm"])
     if not is_integer(a_val) or a_val <= 0:
         raise InputError(f"scenario precondition violated: a = {a_val} is not a positive integer",
                          EXIT_PRECONDITION)
@@ -493,7 +477,7 @@ def _run(args) -> int:
 
     if args.command == "ledger":
         t = ledger.chi_table()
-        print(t.to_markdown() + "\n")
+        print(ledger.to_markdown(t) + "\n")
         _emit(args, to_jsonable(t))
         return EXIT_OK
 

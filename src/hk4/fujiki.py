@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Optional, Sequence, Union
+from typing import Union
 
 from .lattices import QuadLattice
 from .rationals import (
@@ -31,24 +31,8 @@ from .rationals import (
 #: window [240, 262] (low-rank branch, 5/6 <= A_X <= 131/144).
 ADMISSIBLE_288AX: tuple[int, ...] = (225,) + tuple(range(240, 263))
 
-
-def admissible_ax_values() -> tuple[Q, ...]:
-    return tuple(Q(n, 288) for n in ADMISSIBLE_288AX)
-
-
-@dataclass(frozen=True)
-class FujikiData:
-    """Half-dimension n and Fujiki constant c_X > 0."""
-
-    n: int
-    c_X: Q
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be a positive integer")
-        if Q(self.c_X) <= 0:
-            raise ValueError("the Fujiki constant is positive")
-        object.__setattr__(self, "c_X", Q(self.c_X))
+#: The admissible A_X values themselves, N/288 for N in ADMISSIBLE_288AX.
+ADMISSIBLE_AX: tuple[Q, ...] = tuple(Q(n, 288) for n in ADMISSIBLE_288AX)
 
 
 def fujiki_degree(n: int, c_X, q_value) -> Q:
@@ -232,4 +216,4 @@ def guan_gate(t) -> frozenset[Q]:
     t = Q(t)
     if not (0 <= t < Q(1, 3)):
         raise ValueError("guan_gate requires t in [0, 1/3)")
-    return frozenset(ax for ax in admissible_ax_values() if is_integer(4 * ax - t))
+    return frozenset(ax for ax in ADMISSIBLE_AX if is_integer(4 * ax - t))

@@ -29,7 +29,7 @@ from math import gcd
 from typing import Sequence
 
 from .fujiki import fujiki4_pairing
-from .lattices import U, U2
+from .lattices import U
 from .rationals import Q, RatPoly, det_cofactor, divisors, is_integer, sqrt_rational
 
 B2 = 23
@@ -367,9 +367,7 @@ def _contracted_class(t: int) -> "tuple":
     return S, Sprime
 
 
-def contracted_surface_certificate(
-    t_values: Sequence[int] = (1, 2, 3, 4), probe: int = 5
-) -> dict:
+def contracted_surface_certificate() -> dict:
     """No surface can be contracted to a point: 25w = t with 5w integral fails.
 
     A contracted surface S would have intersection matrix t * ((1,-1),(-1,1))
@@ -382,9 +380,10 @@ def contracted_surface_certificate(
     5w = t/5 is not an integer for t in {1, 2, 3, 4}.  The probe value t = 5
     survives both constraints, so the certificate is not vacuous.
     """
+    probe = 5
     cases = []
     all_unsat = True
-    for t in list(t_values) + [probe]:
+    for t in (1, 2, 3, 4, probe):
         S, Sp = _contracted_class(t)
         m_s = intersection_matrix(S(Q(0)))
         if m_s != intersection_matrix(S(Q(1))):
@@ -434,7 +433,7 @@ def contracted_surface_certificate(
 # certificate 3: the class lm does not split
 
 
-def sigma_split_certificate(max_w_numerator: int = 10) -> dict:
+def sigma_split_certificate() -> dict:
     """The class lm cannot split as [Sigma_1] + [Sigma_2] with M = ((0,1),(1,0)).
 
     Such a splitting forces [Sigma_i] = (1/2) lm -+ w (q-dual - (25/2) lm)
@@ -463,9 +462,9 @@ def sigma_split_certificate(max_w_numerator: int = 10) -> dict:
     two_s1_sq = 2 * s1_sq
     two_cross = 2 * cross
 
-    # candidate scan: w = 0 and every w with denominator dividing 5 up to the window
+    # candidate scan: w = 0 and every w = p/5 with 1 <= p <= 10
     candidates = []
-    scan = [Q(0)] + [Q(p, 5) for p in range(1, max_w_numerator + 1)]
+    scan = [Q(0)] + [Q(p, 5) for p in range(1, 11)]
     for w in scan:
         kills = []
         odd = 525 * w * w

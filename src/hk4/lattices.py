@@ -9,9 +9,9 @@ four cones of divisor classes in the two combinatorial cases t0 = 0, 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 from .rationals import Q
 
@@ -84,27 +84,14 @@ def is_primitive(v: Sequence[int]) -> bool:
     return g == 1
 
 
-@dataclass(frozen=True)
-class PairNormalization:
-    """Result of normalizing a pair (l, m) with q(l) = 0.
-
-    After replacing m by (-m if sign_flip else m) + shift * l, the new pair
-    satisfies q(l, m) > 0 and -q(l, m) < q(m) <= q(l, m); gamma is the ratio
-    q(m)/q(l, m) of the normalized pair, so gamma lies in (-1, 1].
-    """
-
-    gamma: Q
-    sign_flip: bool
-    shift: int
-    q_lm: int
-    q_m: int
-
-
-def hyperbolic_pair_normalize(q_l: int, q_m: int, q_lm: int) -> PairNormalization:
+def hyperbolic_pair_normalize(q_l: int, q_m: int, q_lm: int) -> dict:
     """Normalize (q(l)=0, q(m), q(l,m)) by m -> +-m + r*l.
 
     Flipping m fixes q(m) and negates q(l,m); adding r*l moves q(m) by
     2*r*q(l,m).  The window -q(l,m) < q(m) <= q(l,m) pins r uniquely.
+    Returns ``{gamma, sign_flip, shift, q_lm, q_m}``: after replacing m by
+    (-m if sign_flip else m) + shift * l, the new pair has q(l, m) = q_lm > 0
+    and q(m) = q_m, and gamma = q_m/q_lm lies in (-1, 1].
     """
     if q_l != 0:
         raise ValueError(f"q(l) = {q_l} != 0")
@@ -117,7 +104,7 @@ def hyperbolic_pair_normalize(q_l: int, q_m: int, q_lm: int) -> PairNormalizatio
     new_qm = q_m + 2 * r * p
     if not -p < new_qm <= p:
         raise AssertionError(f"normalized q(m) = {new_qm} outside the window (-{p}, {p}]")
-    return PairNormalization(gamma=Q(new_qm, p), sign_flip=flip, shift=r, q_lm=p, q_m=new_qm)
+    return {"gamma": Q(new_qm, p), "sign_flip": flip, "shift": r, "q_lm": p, "q_m": new_qm}
 
 
 @dataclass(frozen=True)
@@ -140,45 +127,24 @@ def reflection_about(e: Sequence[int], lattice: QuadLattice = U) -> Reflection:
     return Reflection(tuple(int(x) for x in e), lattice)
 
 
-@dataclass(frozen=True)
-class PrimeExceptionalScan:
-    """Window enumeration of prime exceptional candidates plus the exact argument.
+def prime_exceptional_scan() -> dict:
+    """Window enumeration of the prime exceptional classes of U, plus the exact argument.
 
     For a class E = t*l + u*m on the hyperbolic plane with q(E) < 0, the dual
     linear form -2 q(E, .)/q(E) must be integral; evaluated on l and m it has
     values 1/t and 1/u, so |t| = |u| = 1 and (q < 0) forces t = -u.  The
-    window scan makes this a runnable check; the divisibility argument is what
-    proves the window is exhaustive.
+    window scan over |t|, |u| <= 10 makes this a runnable check, finding
+    {-l + m, l - m}; the divisibility argument is what proves the window is
+    exhaustive.
     """
-
-    classes: frozenset[Vector]
-    window: int
-    rejected: tuple[tuple[Vector, str], ...]
-    divisibility_argument: str = (
-        "integrality of -2 q(E,.)/q(E) on {l, m} gives 1/t, 1/u in Z, "
-        "hence |t| = |u| = 1, and q(E) < 0 forces t = -u"
-    )
-
-
-def prime_exceptional_candidates(lattice: QuadLattice = U, window: int = 10) -> frozenset[Vector]:
-    """Classes t*l + u*m with q < 0 whose dual form -2q(E,.)/q(E) is integral.
-
-    Requires the hyperbolic plane (q(l) = q(m) = 0, q(l, m) = 1); returns
-    {-l + m, l - m}.
-    """
-    return prime_exceptional_scan(lattice, window).classes
-
-
-def prime_exceptional_scan(lattice: QuadLattice = U, window: int = 10) -> PrimeExceptionalScan:
-    if lattice.gram != U.gram:
-        raise ValueError("prime exceptional enumeration is specific to the hyperbolic plane")
+    window = 10
     found = []
     rejected = []
     basis = ((1, 0), (0, 1))
     for t in range(-window, window + 1):
         for u in range(-window, window + 1):
             v = (t, u)
-            qe = lattice.q(v)
+            qe = U.q(v)
             if qe >= 0:
                 continue
             if not is_primitive(v):
@@ -187,59 +153,47 @@ def prime_exceptional_scan(lattice: QuadLattice = U, window: int = 10) -> PrimeE
             # dual form values -2 q(E, b)/q(E) on the basis
             ok = True
             for b in basis:
-                val = Q(-2 * lattice.pair(v, b), qe)
+                val = Q(-2 * U.pair(v, b), qe)
                 if val.denominator != 1:
                     rejected.append((v, f"dual form value {val} on basis not integral"))
                     ok = False
                     break
             if ok:
                 found.append(v)
-    # keep only a small deterministic sample of rejections for the report
-    sample = tuple(rejected[:6])
-    return PrimeExceptionalScan(classes=frozenset(found), window=window, rejected=sample)
+    return {
+        "prime_exceptional": sorted(found),
+        "window": window,
+        "divisibility_argument": (
+            "integrality of -2 q(E,.)/q(E) on {l, m} gives 1/t, 1/u in Z, "
+            "hence |t| = |u| = 1, and q(E) < 0 forces t = -u"
+        ),
+        # keep only a small deterministic sample of rejections for the report
+        "rejected_sample": rejected[:6],
+    }
 
 
-Ray = tuple[Vector, Vector]
+def cone_report(t0: int) -> dict:
+    """The four cones of divisor classes over the basis (l, m), as pairs of rays.
 
-
-@dataclass(frozen=True)
-class ConeReport:
-    """The four cones of divisor classes over the basis (l, m)."""
-
-    t0: int
-    positive_rays: Ray
-    movable_rays: Ray
-    nef_rays: Ray
-    psef_rays: Ray
-    exceptional_class: Optional[Vector]
-    case_tag: str
-
-    def duality_products(self) -> tuple[int, ...]:
-        """q-pairings of each movable ray against each pseudoeffective ray."""
-        out = []
-        for v in self.movable_rays:
-            for w in self.psef_rays:
-                out.append(U.pair(v, w))
-        return tuple(out)
-
-
-def cone_report(t0: int) -> ConeReport:
-    """Cone structure for the two cases: all cones equal (t0=0), or a unique
-    prime exceptional divisor -l+m supported outside the positive cone (t0=1)."""
+    Two cases: all cones equal (t0=0, case C1), or a unique prime exceptional
+    divisor -l+m supported outside the positive cone (t0=1, case C2).
+    ``duality_products`` are the q-pairings of each movable ray against each
+    pseudoeffective ray.
+    """
     if t0 not in (0, 1):
         raise ValueError("t0 must be 0 or 1")
     l, m = (1, 0), (0, 1)
     mov = (l, (t0, 1))
     psef = (l, (-t0, 1))
-    return ConeReport(
-        t0=t0,
-        positive_rays=(l, m),
-        movable_rays=mov,
-        nef_rays=mov,
-        psef_rays=psef,
-        exceptional_class=(-1, 1) if t0 == 1 else None,
-        case_tag="C1" if t0 == 0 else "C2",
-    )
+    return {
+        "positive": (l, m),
+        "movable": mov,
+        "nef": mov,
+        "psef": psef,
+        "exceptional": (-1, 1) if t0 == 1 else None,
+        "case": "C1" if t0 == 0 else "C2",
+        "duality_products": [U.pair(v, w) for v in mov for w in psef],
+    }
 
 
 def saturation_check(a: int, n: int) -> bool:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Optional
 
 from .fujiki import fujiki4_pairing, rr_from_cx_ax
 from .lattices import U
@@ -28,45 +27,6 @@ RR = rr_from_cx_ax(3, Q(25, 32))
 AMPLE = "kodaira vanishing (p, q > 0 ample in the equal-cones case)"
 BIG_NEF = "kawamata-viehweg vanishing (big and nef)"
 PUSHFORWARD = "pushforward to the plane (fibration argument)"
-
-
-@dataclass(frozen=True)
-class LedgerEntry:
-    p: int
-    q: int
-    bbf_value: int  # q(p*l + q*m) = 2pq
-    chi: Q
-    h0_source: Optional[str]  # None: chi only, no h^0 promotion recorded
-
-
-@dataclass(frozen=True)
-class SectionCountLedger:
-    entries: tuple[LedgerEntry, ...]
-    k_L: int
-    W6: int
-    W10: int
-    W36: int
-
-    def chi(self, p: int, q: int) -> Q:
-        return RR(2 * p * q)
-
-    def entry(self, p: int, q: int) -> LedgerEntry:
-        for e in self.entries:
-            if (e.p, e.q) == (p, q):
-                return e
-        raise KeyError((p, q))
-
-    def to_markdown(self) -> str:
-        lines = [
-            "| p | q | q(pl+qm) | chi(L^p M^q) | h0 = chi under |",
-            "|---|---|----------|--------------|----------------|",
-        ]
-        for e in self.entries:
-            src = e.h0_source or "-"
-            lines.append(f"| {e.p} | {e.q} | {e.bbf_value} | {e.chi} | {src} |")
-        lines.append("")
-        lines.append(f"k_L = {self.k_L}; dim W6 = {self.W6}, W10 = {self.W10}, W36 = {self.W36}")
-        return "\n".join(lines)
 
 
 _PINNED = (
@@ -86,24 +46,40 @@ _PINNED = (
 )
 
 
-def chi_table() -> SectionCountLedger:
+def chi_table() -> dict:
     """The pinned chi ledger: chi(p, q) = P_RR(2pq).
 
-    That this equals binom(pq + 3, 2) is the claim of the ``chi-table``
+    Returns ``{entries, k_L, W6, W10, W36}``; each entry is
+    ``{p, q, bbf_value, chi, h0_source}`` with bbf_value = q(p*l + q*m) = 2pq
+    and h0_source None where only chi is recorded, with no h^0 promotion.
+    That chi equals binom(pq + 3, 2) is the claim of the ``chi-table``
     certificate, checked there and not here.
     """
-    entries = []
-    for p, q, src in _PINNED:
-        val = RR(2 * p * q)
-        entries.append(LedgerEntry(p=p, q=q, bbf_value=2 * p * q, chi=val, h0_source=src))
-    ledger = SectionCountLedger(
-        entries=tuple(entries),
-        k_L=1,
-        W6=int(RR(2)),
-        W10=int(RR(4)),
-        W36=int(RR(12)),
-    )
-    return ledger
+    return {
+        "entries": [
+            {"p": p, "q": q, "bbf_value": 2 * p * q, "chi": RR(2 * p * q), "h0_source": src}
+            for p, q, src in _PINNED
+        ],
+        "k_L": 1,
+        "W6": int(RR(2)),
+        "W10": int(RR(4)),
+        "W36": int(RR(12)),
+    }
+
+
+def to_markdown(table: dict) -> str:
+    """The ledger of ``chi_table`` as a markdown table and a line of section counts."""
+    lines = [
+        "| p | q | q(pl+qm) | chi(L^p M^q) | h0 = chi under |",
+        "|---|---|----------|--------------|----------------|",
+    ]
+    for e in table["entries"]:
+        src = e["h0_source"] or "-"
+        lines.append(f"| {e['p']} | {e['q']} | {e['bbf_value']} | {e['chi']} | {src} |")
+    lines.append("")
+    lines.append(f"k_L = {table['k_L']}; dim W6 = {table['W6']}, W10 = {table['W10']}, "
+                 f"W36 = {table['W36']}")
+    return "\n".join(lines)
 
 
 def koszul_counts(h0_L: int = 1, h0_M: int = 1) -> dict:
@@ -217,35 +193,26 @@ def hopf_chain_bound(start: int, steps: int, cap: int) -> bool:
     return start + 2 * steps > cap
 
 
-@dataclass(frozen=True)
-class MonomialGate:
-    """Pencil-power bound on h^0(L^k) against the 3-dimensional target space."""
+def monomial_section_bound(h0: int, k: int) -> dict:
+    """Pencil-power bound on h^0(L^k) against the 3-dimensional target space.
 
-    h0: int
-    k: int
-    lower_bound: int  # k + 1 monomials in two independent sections
-    admissible: bool  # lower bound fits in h^0(L^(k_L)) = 3
-    conic_contradiction: bool  # k = 2 admitted, but the image would be a conic
-
-
-def monomial_section_bound(h0: int, k: int) -> MonomialGate:
-    """The k+1 monomials sigma^k, ..., tau^k are independent in H^0(L^k).
-
+    The k+1 monomials sigma^k, ..., tau^k are independent in H^0(L^k).
     With h^0(L^(k_L)) = 3 this excludes k >= 3 outright; k = 2 passes the
     dimension count but forces the induced map to land on a conic, which
-    contradicts surjectivity onto the plane, leaving k_L = 1.
+    contradicts surjectivity onto the plane, leaving k_L = 1.  Returns
+    ``{h0, k, lower_bound, admissible, conic_contradiction}``.
     """
     if h0 < 2 or k < 1:
         raise ValueError("monomial_section_bound requires h0 >= 2 and k >= 1")
     lb = k + 1
     admissible = lb <= 3
-    return MonomialGate(
-        h0=h0,
-        k=k,
-        lower_bound=lb,
-        admissible=admissible,
-        conic_contradiction=admissible and k == 2,
-    )
+    return {
+        "h0": h0,
+        "k": k,
+        "lower_bound": lb,  # k + 1 monomials in two independent sections
+        "admissible": admissible,  # lower bound fits in h^0(L^(k_L)) = 3
+        "conic_contradiction": admissible and k == 2,  # k = 2 admitted, but the image is a conic
+    }
 
 
 # ---------------------------------------------------------------------------

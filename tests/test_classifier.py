@@ -22,7 +22,7 @@ from hk4.classifier import (
     squarefree_a_filter,
 )
 from hk4.cli import case_report_json
-from hk4.fujiki import admissible_ax_values, betti_profile
+from hk4.fujiki import ADMISSIBLE_AX, betti_profile
 from hk4.rationals import Q, is_integer, sqrt_rational
 from hk4.report import dumps_canonical
 
@@ -274,7 +274,7 @@ class TestBettiOptions:
         assert in_table == [(23, 0, 276)]
         assert builtin_only == []
 
-    @pytest.mark.parametrize("ax", list(admissible_ax_values()) + [Q(1, 2)])
+    @pytest.mark.parametrize("ax", [*ADMISSIBLE_AX, Q(1, 2)])
     def test_grid_lookup_matches_per_ax_scan(self, ax):
         table = load_betti_table()
         listed = {(e["b2"], e["b3"]) for e in table}

@@ -1,7 +1,6 @@
 """CLI behavior: exit codes, JSON determinism, order independence, the certificate table."""
 
 import contextlib
-import dataclasses
 import hashlib
 import inspect
 import io
@@ -57,6 +56,9 @@ SCENARIO_DOCS = {
 
 #: sha256 of the file written by ``hk4 ledger --json PATH``.
 LEDGER_SHA256 = "a3ee0e7ac088eabcadc6c10445bba2d21b24a94c54a54b10f17800bb4418a78b"
+
+#: sha256 of the whole stdout of ``hk4 ledger``: the markdown table, a blank line, the JSON.
+LEDGER_STDOUT_SHA256 = "0da88001ade2a54a2f383369f30a1e7e1481e0ce24ddc7bae19d865453b3e9e6"
 
 
 class TestClassifyCommand:
@@ -217,6 +219,11 @@ class TestLedgerCommand:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == LEDGER_SHA256
         assert res.stdout.endswith(out.read_text())
 
+    def test_ledger_stdout_digest_pinned(self):
+        res = run_cli("ledger")
+        assert res.returncode == 0
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == LEDGER_STDOUT_SHA256
+
 
 class TestReportCommand:
     def test_full_report(self, tmp_path):
@@ -320,8 +327,8 @@ class TestCertificateTable:
         import hk4.cli as cli
 
         real = ledger.chi_table()
-        first, *rest = real.entries
-        bad = dataclasses.replace(real, entries=(dataclasses.replace(first, chi=first.chi + 1), *rest))
+        first, *rest = real["entries"]
+        bad = {**real, "entries": [{**first, "chi": first["chi"] + 1}, *rest]}
         monkeypatch.setattr(ledger, "chi_table", lambda: bad)
         monkeypatch.setattr(cli, "load_expectations", lambda: {})
         assert run_certificate("chi-table")["result"] == "FAIL"

@@ -8,11 +8,10 @@ import pytest
 
 from hk4.fujiki import (
     ADMISSIBLE_288AX,
+    ADMISSIBLE_AX,
     BettiProfile,
-    FujikiData,
     IrrationalCoefficient,
     a_from_fujiki,
-    admissible_ax_values,
     betti_profile,
     fujiki4_pairing,
     fujiki_degree,
@@ -31,12 +30,6 @@ class TestFujikiDegree:
         assert fujiki_degree(2, 3, 2) == 12
         assert fujiki_degree(2, 3, 0) == 0
         assert fujiki_degree(5, 945, 2) == 30240
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            FujikiData(2, Q(-3))
-        with pytest.raises(ValueError):
-            FujikiData(0, Q(3))
 
 
 class TestPolarizedPairing:
@@ -203,7 +196,7 @@ class TestBettiProfile:
                 assert Q(5, 6) <= p.A_X <= Q(131, 144)
 
     def test_admissible_values_cover_both_branches(self):
-        vals = admissible_ax_values()
+        vals = ADMISSIBLE_AX
         assert Q(25, 32) in vals
         assert vals[1] == Q(5, 6) and vals[-1] == Q(131, 144)
         assert len(ADMISSIBLE_288AX) == 24

@@ -7,12 +7,10 @@ import pytest
 from hk4.lattices import (
     U,
     U2,
-    ConeReport,
     QuadLattice,
     cone_report,
     hyperbolic_pair_normalize,
     is_primitive,
-    prime_exceptional_candidates,
     prime_exceptional_scan,
     reflection_about,
     saturation_check,
@@ -57,21 +55,21 @@ class TestQuadLattice:
 class TestHyperbolicPairNormalize:
     def test_already_normalized(self):
         n = hyperbolic_pair_normalize(0, 0, 1)
-        assert (n.gamma, n.sign_flip, n.shift) == (0, False, 0)
+        assert (n["gamma"], n["sign_flip"], n["shift"]) == (0, False, 0)
 
     def test_shift(self):
         n = hyperbolic_pair_normalize(0, 6, 1)
-        assert (n.gamma, n.sign_flip, n.shift) == (0, False, -3)
-        assert n.q_m == 0
+        assert (n["gamma"], n["sign_flip"], n["shift"]) == (0, False, -3)
+        assert n["q_m"] == 0
 
     def test_shift_with_q2(self):
         n = hyperbolic_pair_normalize(0, 3, 2)
-        assert n.shift == -1 and n.q_m == -1 and n.q_lm == 2
-        assert n.gamma == Q(-1, 2)
+        assert n["shift"] == -1 and n["q_m"] == -1 and n["q_lm"] == 2
+        assert n["gamma"] == Q(-1, 2)
 
     def test_sign_flip(self):
         n = hyperbolic_pair_normalize(0, 0, -1)
-        assert n.sign_flip and n.q_lm == 1
+        assert n["sign_flip"] and n["q_lm"] == 1
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -83,10 +81,10 @@ class TestHyperbolicPairNormalize:
         for q_m in range(-9, 10):
             for q_lm in [x for x in range(-4, 5) if x]:
                 n = hyperbolic_pair_normalize(0, q_m, q_lm)
-                assert -n.q_lm < n.q_m <= n.q_lm
-                again = hyperbolic_pair_normalize(0, n.q_m, n.q_lm)
-                assert (again.sign_flip, again.shift) == (False, 0)
-                assert again.gamma == n.gamma
+                assert -n["q_lm"] < n["q_m"] <= n["q_lm"]
+                again = hyperbolic_pair_normalize(0, n["q_m"], n["q_lm"])
+                assert (again["sign_flip"], again["shift"]) == (False, 0)
+                assert again["gamma"] == n["gamma"]
 
 
 class TestReflection:
@@ -115,44 +113,45 @@ class TestReflection:
 
 class TestPrimeExceptional:
     def test_exactly_the_two_classes(self):
-        assert prime_exceptional_candidates() == frozenset({(-1, 1), (1, -1)})
+        assert prime_exceptional_scan()["prime_exceptional"] == [(-1, 1), (1, -1)]
 
     def test_candidates_have_square_minus_two_and_primitive(self):
-        for v in prime_exceptional_candidates():
+        for v in prime_exceptional_scan()["prime_exceptional"]:
             assert U.q(v) == -2
             assert is_primitive(v)
 
     def test_rejections(self):
         scan = prime_exceptional_scan()
-        assert scan.window == 10
-        assert (-1, 1) in scan.classes and (1, -1) in scan.classes
+        found, argument = scan["prime_exceptional"], scan["divisibility_argument"]
+        assert scan["window"] == 10
+        assert (-1, 1) in found and (1, -1) in found
         # non-primitive multiple and a q = -4 class both fail
         assert not is_primitive((2, -2))
-        assert (2, -2) not in scan.classes
-        assert (-1, 2) not in scan.classes
-        assert "1/t" in scan.divisibility_argument or "|t| = |u| = 1" in scan.divisibility_argument
+        assert (2, -2) not in found
+        assert (-1, 2) not in found
+        assert "1/t" in argument or "|t| = |u| = 1" in argument
 
 
 class TestCones:
     def test_case_c1_all_equal(self):
         rep = cone_report(0)
-        assert rep.case_tag == "C1"
-        assert rep.positive_rays == rep.movable_rays == rep.nef_rays == rep.psef_rays
-        assert rep.exceptional_class is None
+        assert rep["case"] == "C1"
+        assert rep["positive"] == rep["movable"] == rep["nef"] == rep["psef"]
+        assert rep["exceptional"] is None
 
     def test_case_c2(self):
         rep = cone_report(1)
-        assert rep.case_tag == "C2"
-        assert rep.movable_rays == ((1, 0), (1, 1))
-        assert rep.psef_rays == ((1, 0), (-1, 1))
-        assert rep.exceptional_class == (-1, 1)
+        assert rep["case"] == "C2"
+        assert rep["movable"] == ((1, 0), (1, 1))
+        assert rep["psef"] == ((1, 0), (-1, 1))
+        assert rep["exceptional"] == (-1, 1)
 
     @pytest.mark.parametrize("t0", [0, 1])
     def test_movable_psef_duality(self, t0):
         rep = cone_report(t0)
-        assert all(x >= 0 for x in rep.duality_products())
+        assert all(x >= 0 for x in rep["duality_products"])
         # the equality pattern: each extremal movable ray kills one psef ray
-        assert rep.duality_products().count(0) == 2
+        assert rep["duality_products"].count(0) == 2
 
     def test_rejects_bad_t0(self):
         with pytest.raises(ValueError):

@@ -20,44 +20,53 @@ from hk4.ledger import (
     mukai_solve,
     segre_certificate,
     segre_row,
+    to_markdown,
 )
 from hk4.rationals import Q, binom
 
 
+def chi_by_pq(table: dict) -> dict:
+    """The ledger entries of ``chi_table`` keyed by (p, q)."""
+    return {(e["p"], e["q"]): e for e in table["entries"]}
+
+
 class TestChiTable:
     def test_pinned_values(self):
-        t = chi_table()
-        assert t.chi(1, 1) == 6
-        assert t.chi(2, 1) == 10
-        assert t.chi(3, 2) == 36
-        assert t.chi(2, 2) == 21
-        assert t.chi(3, 1) == 15
-        assert t.chi(1, -1) == 1  # P_RR(-2)
-        assert t.chi(2, -1) == 0  # P_RR(-4)
-        assert t.chi(0, 1) == 3
-        assert t.chi(0, -1) == 3
-        assert t.chi(1, -2) == 0
+        chi = {pq: e["chi"] for pq, e in chi_by_pq(chi_table()).items()}
+        assert chi[1, 1] == 6
+        assert chi[2, 1] == 10
+        assert chi[3, 2] == 36
+        assert chi[2, 2] == 21
+        assert chi[3, 1] == 15
+        assert chi[1, -1] == 1  # P_RR(-2)
+        assert chi[2, -1] == 0  # P_RR(-4)
+        assert chi[0, 1] == 3
+        assert chi[0, -1] == 3
+        assert chi[1, -2] == 0
 
     def test_w_dimensions_and_k_l(self):
         t = chi_table()
-        assert (t.W6, t.W10, t.W36) == (6, 10, 36)
-        assert t.k_L == 1
+        assert (t["W6"], t["W10"], t["W36"]) == (6, 10, 36)
+        assert t["k_L"] == 1
 
     def test_matches_binomial_everywhere(self):
-        t = chi_table()
+        # chi(L^p M^q) = P_RR(q(pl + qm)) = P_RR(2pq), pinned or not
         for p in range(-6, 7):
             for q in range(-6, 7):
-                assert t.chi(p, q) == binom(p * q + 3, 2)
-                assert t.chi(p, q) == RR(U.q((p, q)))
+                assert RR(2 * p * q) == binom(p * q + 3, 2)
+                assert RR(2 * p * q) == RR(U.q((p, q)))
+        for (p, q), e in chi_by_pq(chi_table()).items():
+            assert e["bbf_value"] == U.q((p, q))
+            assert e["chi"] == RR(e["bbf_value"]) == binom(p * q + 3, 2)
 
     def test_promotion_sources_are_distinguished(self):
-        t = chi_table()
-        assert t.entry(1, 1).h0_source != t.entry(2, 2).h0_source
-        assert t.entry(1, 0).h0_source is not None
-        assert t.entry(1, -1).h0_source is None
+        entry = chi_by_pq(chi_table())
+        assert entry[1, 1]["h0_source"] != entry[2, 2]["h0_source"]
+        assert entry[1, 0]["h0_source"] is not None
+        assert entry[1, -1]["h0_source"] is None
 
     def test_markdown_renders(self):
-        text = chi_table().to_markdown()
+        text = to_markdown(chi_table())
         assert "| 3 | 2 | 12 | 36 |" in text
         assert "k_L = 1" in text
 
@@ -141,11 +150,11 @@ class TestHopfChain:
 class TestMonomialGate:
     def test_examples(self):
         g2 = monomial_section_bound(2, 2)
-        assert g2.lower_bound == 3 and g2.admissible and g2.conic_contradiction
+        assert g2["lower_bound"] == 3 and g2["admissible"] and g2["conic_contradiction"]
         g3 = monomial_section_bound(2, 3)
-        assert g3.lower_bound == 4 and not g3.admissible
+        assert g3["lower_bound"] == 4 and not g3["admissible"]
         g1 = monomial_section_bound(2, 1)
-        assert g1.lower_bound == 2 and g1.admissible and not g1.conic_contradiction
+        assert g1["lower_bound"] == 2 and g1["admissible"] and not g1["conic_contradiction"]
 
 
 class TestBott:
