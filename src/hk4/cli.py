@@ -33,6 +33,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from math import gcd
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional
@@ -96,9 +97,9 @@ def _guan_gate_scan() -> dict:
     hits = []
     for den in range(1, 25):
         for num in range(0, den):
-            t = Q(num, den)
-            if t.denominator != den or t >= Q(1, 3):
+            if gcd(num, den) != 1 or 3 * num >= den:  # t = num/den reduced, below 1/3
                 continue
+            t = Q(num, den)
             admitted = sorted(fujiki.guan_gate(t))
             if admitted:
                 hits.append({"t": t, "A_X": admitted})

@@ -211,9 +211,15 @@ def guan_gate(t) -> frozenset[Q]:
     """Admissible A_X values with 4*A_X - t an integer, for t in [0, 1/3).
 
     Scans the exact admissible set {225/288} union {N/288 : 240 <= N <= 262};
-    the unique hit over all such t is t = 1/8 with A_X = 25/32.
+    the unique hit over all such t is t = 1/8 with A_X = 25/32.  In integers,
+    with A_X = N/288 and t = num/den, 4*A_X - t = (N*den - 72*num)/(72*den),
+    so the test is (N*den - 72*num) % (72*den) == 0.
     """
-    t = Q(t)
-    if not (0 <= t < Q(1, 3)):
+    num, den = Q(t).as_integer_ratio()
+    if not (0 <= num and 3 * num < den):
         raise ValueError("guan_gate requires t in [0, 1/3)")
-    return frozenset(ax for ax in ADMISSIBLE_AX if is_integer(4 * ax - t))
+    return frozenset(
+        ax
+        for n, ax in zip(ADMISSIBLE_288AX, ADMISSIBLE_AX)
+        if (n * den - 72 * num) % (72 * den) == 0
+    )

@@ -49,7 +49,9 @@ class H4Class:
 
     def __post_init__(self):
         for f in ("l2", "lm", "m2", "qdual"):
-            object.__setattr__(self, f, Q(getattr(self, f)))
+            v = getattr(self, f)
+            if type(v) is not Q:
+                object.__setattr__(self, f, Q(v))
 
     def coords(self) -> tuple[Q, Q, Q, Q]:
         return (self.l2, self.lm, self.m2, self.qdual)
@@ -96,11 +98,23 @@ def _sym2_gram() -> tuple[tuple[Q, ...], ...]:
 
 _GRAM = _sym2_gram()
 
+#: The non-zero entries (i, j, integer value) of _GRAM: 2 at (l^2, m^2), (lm, lm) and
+#: (m^2, l^2), 25 at (lm, q-dual) and (q-dual, lm), and 575 at (q-dual, q-dual).
+_GRAM_NONZERO = tuple(
+    (i, j, int(g)) for i, row in enumerate(_GRAM) for j, g in enumerate(row) if g
+)
+
 
 def h4_pair(x: H4Class, y: H4Class) -> Q:
-    """Bilinear intersection pairing on degree-4 Hodge classes."""
+    """Bilinear intersection pairing on degree-4 Hodge classes.
+
+    Only 6 of the 16 Gram entries are non-zero, and all are integers, so
+
+        <x, y> = 2 (x_l2 y_m2 + x_lm y_lm + x_m2 y_l2)
+                 + 25 (x_lm y_qdual + x_qdual y_lm) + 575 x_qdual y_qdual.
+    """
     xs, ys = x.coords(), y.coords()
-    return sum(xs[i] * _GRAM[i][j] * ys[j] for i in range(4) for j in range(4))
+    return sum(xs[i] * g * ys[j] for i, j, g in _GRAM_NONZERO)
 
 
 def intersection_matrix(eta: H4Class) -> tuple[tuple[Q, Q], tuple[Q, Q]]:
@@ -166,6 +180,13 @@ def _quadratic_in_w(f) -> RatPoly:
     return RatPoly((p0, lin, quad))
 
 
+def _linear_root(p: RatPoly) -> Q:
+    """The root -c0/c1 of a degree-1 polynomial c0 + c1 w (a boundary value in w)."""
+    if p.degree != 1:
+        raise ValueError(f"expected a linear polynomial in w, got {p.pretty('w')}")
+    return -p.coefficient(0) / p.coefficient(1)
+
+
 # ---------------------------------------------------------------------------
 # resultants over nested polynomial rings (used by the Lagrangian-plane check)
 
@@ -217,6 +238,25 @@ def primitive_integer_form(p: RatPoly) -> tuple[RatPoly, int]:
     return RatPoly(tuple(ints)), k
 
 
+def root_scan(c0: int, c1: int, c2: int) -> tuple[list[int], list[Q]]:
+    """Integer and rational roots of c2 x^2 + c1 x + c0 (c0, c2 != 0), ascending.
+
+    The rational root test in integers: a root p/q has p | c0 and q | c2, and
+    p/q is a root iff c2 p^2 + c1 p q + c0 q^2 == 0.
+    """
+    numerators = [r for d in divisors(c0) for r in (d, -d)]
+    integer_roots = sorted(p for p in numerators if c2 * p * p + c1 * p + c0 == 0)
+    rational_roots = sorted(
+        {
+            Q(p, q)
+            for p in numerators
+            for q in divisors(c2)
+            if c2 * p * p + c1 * p * q + c0 * q * q == 0
+        }
+    )
+    return integer_roots, rational_roots
+
+
 def _proportional(p: RatPoly, q: RatPoly) -> bool:
     if p.degree != q.degree or p.is_zero or q.is_zero:
         return False
@@ -242,7 +282,8 @@ def lagrangian_plane_certificate() -> dict:
     equations for (t, u) by Cramer's rule and substituting into the quadratic
     yields a rational multiple of 92 x^2 + 20 x - 525; an independent chained
     resultant reproduces the same primitive quadratic.  Its roots are 105/46
-    and -5/2; the integer-root scan over divisors of 525 certifies NONE.
+    and -5/2; the integer-root scan over divisors of 525 certifies NONE.  Both
+    root scans run on the primitive integer coefficients (``root_scan``).
     """
     x = RatPoly.monomial(1, Q(1))
     zero_x = RatPoly()
@@ -286,17 +327,7 @@ def lagrangian_plane_certificate() -> dict:
     roots = frozenset(
         ((-quad.coefficient(1) + s) / (2 * quad.coefficient(2)) for s in (sq, -sq))
     )
-    integer_roots = sorted(
-        r for d in divisors(int(quad.coefficient(0))) for r in (d, -d) if quad(Q(r)) == 0
-    )
-    rational_roots = sorted(
-        {
-            Q(pn, qn)
-            for pn in [d for dd in divisors(int(quad.coefficient(0))) for d in (dd, -dd)]
-            for qn in divisors(int(quad.coefficient(2)))
-            if quad(Q(pn, qn)) == 0
-        }
-    )
+    integer_roots, rational_roots = root_scan(*(int(quad.coefficient(k)) for k in range(3)))
 
     # back-substitution: at each root the linear system determines (t, u) and
     # all three original equations must hold exactly
@@ -391,8 +422,8 @@ def contracted_surface_certificate() -> dict:
         two_s_sq = _quadratic_in_w(lambda w: 2 * h4_pair(S(w), S(w)))
         bv_s = _quadratic_in_w(lambda w: boundary_value(S(w)))
         bv_sp = _quadratic_in_w(lambda w: boundary_value(Sp(w)))
-        # witness forces t - 25w >= 0 and 25w - t >= 0
-        forced_w = Q(t, 25)
+        # witness forces t - 25w >= 0 and 25w - t >= 0, so w is the root of t - 25w
+        forced_w = _linear_root(bv_s)
         five_w = 5 * forced_w
         survives = is_integer(five_w)
         case = {
@@ -419,7 +450,8 @@ def contracted_surface_certificate() -> dict:
             "witness omega = l + m + e' - f': integral(S omega^2) = t - 25w >= 0 and "
             "integral(S' omega^2) = 25w - t >= 0 force 25w = t",
             "5w = t/5 is not an integer for t in {1, 2, 3, 4}: UNSAT in every case",
-            f"probe t = {probe} gives w = {Q(probe, 25)} with 5w = {Q(probe, 5)} "
+            f"probe t = {probe} gives w = {probe_case['forced_w']} with "
+            f"5w = {probe_case['five_w']} "
             "surviving both constraints (non-vacuity)",
         ),
         "witnesses": ("omega = l + m + e' - f' (q = 0, q(.,l) = q(.,m) = 1)",),
@@ -464,11 +496,14 @@ def sigma_split_certificate() -> dict:
 
     # candidate scan: w = 0 and every w = p/5 with 1 <= p <= 10
     candidates = []
+    odd_w = []  # the scanned w with 525 w^2 an odd integer
     scan = [Q(0)] + [Q(p, 5) for p in range(1, 11)]
     for w in scan:
         kills = []
         odd = 525 * w * w
-        if not (is_integer(odd) and int(odd) % 2 == 1):
+        if is_integer(odd) and int(odd) % 2 == 1:
+            odd_w.append(w)
+        else:
             kills.append(
                 f"integrality: Sigma_1^2 = {s1_sq(w)} and Sigma_1.Sigma_2 = {cross(w)} "
                 "are not both integers"
@@ -478,8 +513,9 @@ def sigma_split_certificate() -> dict:
         candidates.append({"w": w, "kills": kills, "killed": bool(kills)})
     all_killed = all(c["killed"] for c in candidates)
 
-    w_min = Q(1, 5)  # forced by integrality (denominator | 5, 525 w^2 odd, w > 0)
-    w_max = Q(1, 25)  # forced by the witness inequality 1 - 25w >= 0
+    # forced by integrality (denominator | 5, 525 w^2 odd, w > 0)
+    w_min = min(w for w in odd_w if w > 0)
+    w_max = _linear_root(bv_s2)  # forced by the witness inequality 1 - 25w >= 0
     ok = all_killed and w_min > w_max
     return {
         "status": "UNSAT" if ok else "SAT",
@@ -489,10 +525,10 @@ def sigma_split_certificate() -> dict:
             f"2 Sigma_1^2 = {two_s1_sq.pretty('w')} and 2 Sigma_1.Sigma_2 = {two_cross.pretty('w')}",
             "kill path 1 (integrality): both intersection numbers integral means "
             "525 w^2 is an odd integer, so w != 0 (w = 0 gives Sigma_1^2 = 1/2), the "
-            "denominator of w divides 5, and with the sign choice w > 0: w >= 1/5",
+            f"denominator of w divides 5, and with the sign choice w > 0: w >= {w_min}",
             "kill path 2 (witness): Sigma_2 effective against omega = l + m + e' - f' "
-            f"means integral(Sigma_2 omega^2) = {bv_s2.pretty('w')} >= 0: w <= 1/25",
-            "1/5 > 1/25: the two constraints are jointly infeasible, UNSAT",
+            f"means integral(Sigma_2 omega^2) = {bv_s2.pretty('w')} >= 0: w <= {w_max}",
+            f"{w_min} > {w_max}: the two constraints are jointly infeasible, UNSAT",
         ),
         "witnesses": ("omega = l + m + e' - f' (q = 0, q(.,l) = q(.,m) = 1)",),
         "sigma1_sq": [s1_sq.coefficient(k) for k in range(3)],

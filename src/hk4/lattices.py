@@ -150,12 +150,12 @@ def prime_exceptional_scan() -> dict:
             if not is_primitive(v):
                 rejected.append((v, "not primitive"))
                 continue
-            # dual form values -2 q(E, b)/q(E) on the basis
+            # dual form values -2 q(E, b)/q(E) on the basis, integral iff q(E) | 2 q(E, b)
             ok = True
             for b in basis:
-                val = Q(-2 * U.pair(v, b), qe)
-                if val.denominator != 1:
-                    rejected.append((v, f"dual form value {val} on basis not integral"))
+                twice = -2 * U.pair(v, b)
+                if twice % qe:
+                    rejected.append((v, f"dual form value {Q(twice, qe)} on basis not integral"))
                     ok = False
                     break
             if ok:

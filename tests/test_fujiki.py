@@ -2,9 +2,11 @@
 
 import itertools
 import random
-from math import factorial
+from math import factorial, gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hk4.fujiki import (
     ADMISSIBLE_288AX,
@@ -221,3 +223,36 @@ class TestGuanGate:
                 for ax in guan_gate(t):
                     assert is_integer(288 * ax)
                     assert is_integer(4 * ax - t)
+
+    def test_rejects_t_outside_the_window(self):
+        for t in (Q(-1, 7), Q(1, 3), Q(1, 2), 1):
+            with pytest.raises(ValueError):
+                guan_gate(t)
+
+
+def _guan_gate_reference(t):
+    """Test-only Fraction reference: the admissible A_X with 4*A_X - t an integer."""
+    return frozenset(ax for ax in ADMISSIBLE_AX if is_integer(4 * ax - t))
+
+
+class TestGuanGateIntegerIdentity:
+    """guan_gate decides 4*N/288 - num/den in Z in integers; the reference uses Fractions."""
+
+    def test_every_reduced_t_with_denominator_up_to_120(self):
+        hits = []
+        for den in range(1, 121):
+            for num in range(den):
+                if gcd(num, den) != 1 or 3 * num >= den:
+                    continue
+                t = Q(num, den)
+                assert guan_gate(t) == _guan_gate_reference(t), t
+                if guan_gate(t):
+                    hits.append(t)
+        assert hits == [Q(1, 8)]  # the unique hit over every t, as the docstring says
+
+    @given(st.fractions(min_value=0, max_value=Q(1, 3), max_denominator=10**6))
+    @settings(max_examples=200)
+    def test_random_t(self, t):
+        if t == Q(1, 3):
+            return
+        assert guan_gate(t) == _guan_gate_reference(t)

@@ -1,6 +1,7 @@
 """Degree-4 Hodge algebra and the three UNSAT certificates."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from hk4.fujiki import fujiki4_pairing
 from hk4.h4 import (
+    _GRAM,
     LM,
     L2,
     M2,
@@ -23,10 +25,11 @@ from hk4.h4 import (
     ns_product,
     primitive_integer_form,
     resultant,
+    root_scan,
     sigma_split_certificate,
 )
 from hk4.lattices import U
-from hk4.rationals import Q, RatPoly, is_integer
+from hk4.rationals import Q, RatPoly, divisors, is_integer
 
 small_rats = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -74,6 +77,72 @@ class TestPairing:
             assert h4_pair(ns_product(alpha, beta), ns_product(gamma, delta)) == fujiki4_pairing(
                 3, U, alpha, beta, gamma, delta
             )
+
+
+def _dense_pair(x, y):
+    """Test-only reference: the full 16-term sum over the Fraction Gram matrix."""
+    xs, ys = x.coords(), y.coords()
+    return sum(xs[i] * _GRAM[i][j] * ys[j] for i in range(4) for j in range(4))
+
+
+# coordinates that are often exactly zero, as in the certificates' classes
+sparse_rats = st.one_of(st.just(Q(0)), st.integers(-9, 9), small_rats)
+sparse_classes = st.builds(H4Class, sparse_rats, sparse_rats, sparse_rats, sparse_rats)
+
+
+class TestPairingIntegerGram:
+    """h4_pair sums the 6 non-zero integer Gram entries; the reference sums all 16."""
+
+    @given(sparse_classes, sparse_classes)
+    @settings(max_examples=150)
+    def test_matches_dense_sum(self, x, y):
+        value = h4_pair(x, y)
+        # an int would serialize as a JSON number instead of a "p/q" string
+        assert type(value) is Fraction
+        assert value == _dense_pair(x, y)
+
+    def test_basis_table_matches_dense_sum(self):
+        basis = (L2, LM, M2, QDUAL, H4Class())
+        for x in basis:
+            for y in basis:
+                assert type(h4_pair(x, y)) is Fraction
+                assert h4_pair(x, y) == _dense_pair(x, y)
+
+    def test_coordinates_are_fractions(self):
+        eta = H4Class(1, 0, Q(3, 2), -4)
+        assert all(type(c) is Fraction for c in eta.coords())
+        assert eta.coords() == (1, 0, Q(3, 2), -4)
+
+
+def _root_scan_reference(c0, c1, c2):
+    """Test-only reference: the rational root test by RatPoly evaluation on Fractions."""
+    poly = RatPoly((Q(c0), Q(c1), Q(c2)))
+    numerators = [d for dd in divisors(c0) for d in (dd, -dd)]
+    integer_roots = sorted(r for r in numerators if poly(Q(r)) == 0)
+    rational_roots = sorted(
+        {Q(p, q) for p in numerators for q in divisors(c2) if poly(Q(p, q)) == 0}
+    )
+    return integer_roots, rational_roots
+
+
+class TestRootScan:
+    def test_plane_quadratic(self):
+        assert root_scan(-525, 20, 92) == ([], [Q(-5, 2), Q(105, 46)])
+
+    def test_random_quadratics_match_ratpoly_evaluation(self):
+        rng = random.Random(20261018)
+        nonzero = [k for k in range(-30, 31) if k]
+        for _ in range(300):
+            if rng.random() < 0.5:  # (a x + b)(c x + d): rational roots guaranteed
+                a, b, c, d = (rng.choice(nonzero) for _ in range(4))
+                c0, c1, c2 = b * d, a * d + b * c, a * c
+            else:
+                c0, c1, c2 = rng.choice(nonzero), rng.randint(-60, 60), rng.choice(nonzero)
+            assert root_scan(c0, c1, c2) == _root_scan_reference(c0, c1, c2), (c0, c1, c2)
+
+    def test_finds_integer_and_rational_roots(self):
+        # (x - 3)(2x + 5) = 2 x^2 - x - 15
+        assert root_scan(-15, -1, 2) == ([3], [Q(-5, 2), Q(3)])
 
 
 class TestIntersectionMatrix:
@@ -224,3 +293,33 @@ class TestSigmaSplit:
             s2 = H4Class(lm=Q(1, 2)) + H4Class(lm=-Q(25, 2), qdual=1).scale(w)
             assert s1 + s2 == LM
             assert h4_pair(s1, LM) == 1
+
+
+def _value(coeffs, w):
+    return sum(c * w**k for k, c in enumerate(coeffs))
+
+
+class TestDerivedValues:
+    """Each value the certificates report is the root of the polynomial reported beside it."""
+
+    def test_forced_w_is_the_root_of_both_boundary_values(self):
+        for c in contracted_surface_certificate()["cases"]:
+            assert _value(c["boundary_S"], c["forced_w"]) == 0
+            assert _value(c["boundary_S_prime"], c["forced_w"]) == 0
+            assert c["five_w"] == 5 * c["forced_w"]
+
+    def test_w_max_is_the_root_of_the_sigma2_boundary_value(self):
+        v = sigma_split_certificate()
+        assert _value(v["boundary_sigma2"], v["w_max_witness"]) == 0
+
+    def test_w_min_is_the_least_positive_scanned_w_with_525_w2_odd(self):
+        v = sigma_split_certificate()
+        w_min = v["w_min_integrality"]
+        odd = [
+            c["w"] for c in v["candidates"]
+            if c["w"] > 0 and is_integer(525 * c["w"] ** 2) and 525 * c["w"] ** 2 % 2 == 1
+        ]
+        assert w_min == min(odd)
+        # both intersection numbers are integers there: 2 Sigma^2 values are even
+        assert _value(v["two_sigma1_sq"], w_min) % 2 == 0
+        assert _value(v["two_sigma1_sigma2"], w_min) % 2 == 0

@@ -132,6 +132,43 @@ class TestPrimeExceptional:
         assert "1/t" in argument or "|t| = |u| = 1" in argument
 
 
+def _prime_exceptional_reference():
+    """Test-only reference: the window scan with every dual form value as a Fraction."""
+    found, rejected = [], []
+    for t in range(-10, 11):
+        for u in range(-10, 11):
+            v = (t, u)
+            qe = U.q(v)
+            if qe >= 0:
+                continue
+            if not is_primitive(v):
+                rejected.append((v, "not primitive"))
+                continue
+            for b in ((1, 0), (0, 1)):
+                val = Q(-2 * U.pair(v, b), qe)
+                if val.denominator != 1:
+                    rejected.append((v, f"dual form value {val} on basis not integral"))
+                    break
+            else:
+                found.append(v)
+    return sorted(found), rejected[:6]
+
+
+class TestPrimeExceptionalIntegerTest:
+    """The scan tests q(E) | 2 q(E, b) in integers; the reference builds every Fraction."""
+
+    def test_whole_dict_matches_fraction_reference(self):
+        found, sample = _prime_exceptional_reference()
+        scan = prime_exceptional_scan()
+        assert scan == {
+            "prime_exceptional": found,
+            "window": 10,
+            "divisibility_argument": scan["divisibility_argument"],
+            "rejected_sample": sample,
+        }
+        assert any("dual form value" in reason for _, reason in sample)
+
+
 class TestCones:
     def test_case_c1_all_equal(self):
         rep = cone_report(0)
