@@ -98,8 +98,7 @@ def _sym2_gram() -> tuple[tuple[Q, ...], ...]:
 
 _GRAM = _sym2_gram()
 
-#: The non-zero entries (i, j, integer value) of _GRAM: 2 at (l^2, m^2), (lm, lm) and
-#: (m^2, l^2), 25 at (lm, q-dual) and (q-dual, lm), and 575 at (q-dual, q-dual).
+#: The 6 non-zero entries (i, j, value) of _GRAM; every one is an integer.
 _GRAM_NONZERO = tuple(
     (i, j, int(g)) for i, row in enumerate(_GRAM) for j, g in enumerate(row) if g
 )
