@@ -20,12 +20,18 @@ Each certificate replaces the universally quantified boundary condition
 "for all omega in the closure of the Kahler cone with q(omega) = 0" by the
 single explicit witness omega = l + m + e' - f' in a second hyperbolic
 summand; the witness and its admissibility are recorded in every report.
+
+The unknown of each refutation is a polynomial indeterminate: x = q(A) for
+the plane, w for the contracted surface and the splitting of lm.  Classes
+whose coordinates are affine in w are ordinary ``H4Class`` values over
+``RatPoly``, so ``h4_pair`` and ``boundary_value`` return the reported
+polynomials in w directly; ``M_[S]`` is checked to have degree 0 in w.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .fujiki import fujiki4_pairing
@@ -40,20 +46,25 @@ C2_FACTOR = Q(6, 5)  # c2(X) = (6/5) q-dual
 
 @dataclass(frozen=True)
 class H4Class:
-    """Rational coordinates over the basis (l^2, lm, m^2, q-dual)."""
+    """Coordinates over the basis (l^2, lm, m^2, q-dual).
 
-    l2: Q = Q(0)
-    lm: Q = Q(0)
-    m2: Q = Q(0)
-    qdual: Q = Q(0)
+    A coordinate is a rational, or a ``RatPoly`` in an unknown such as w
+    (the certificates' classes are affine in w); rationals are stored as
+    ``Q`` and polynomials as they are.
+    """
+
+    l2: Q | RatPoly = Q(0)
+    lm: Q | RatPoly = Q(0)
+    m2: Q | RatPoly = Q(0)
+    qdual: Q | RatPoly = Q(0)
 
     def __post_init__(self):
         for f in ("l2", "lm", "m2", "qdual"):
             v = getattr(self, f)
-            if type(v) is not Q:
+            if type(v) not in (Q, RatPoly):
                 object.__setattr__(self, f, Q(v))
 
-    def coords(self) -> tuple[Q, Q, Q, Q]:
+    def coords(self) -> tuple:
         return (self.l2, self.lm, self.m2, self.qdual)
 
     def __add__(self, other: "H4Class") -> "H4Class":
@@ -62,11 +73,9 @@ class H4Class:
     def __sub__(self, other: "H4Class") -> "H4Class":
         return H4Class(*(a - b for a, b in zip(self.coords(), other.coords())))
 
-    def __neg__(self) -> "H4Class":
-        return H4Class(*(-a for a in self.coords()))
-
     def scale(self, c) -> "H4Class":
-        c = Q(c)
+        if type(c) is not RatPoly:
+            c = Q(c)
         return H4Class(*(c * a for a in self.coords()))
 
 
@@ -74,6 +83,12 @@ L2 = H4Class(l2=1)
 LM = H4Class(lm=1)
 M2 = H4Class(m2=1)
 QDUAL = H4Class(qdual=1)
+
+#: The unknown w of the contracted-surface and splitting refutations.
+W = RatPoly((Q(0), Q(1)))
+
+#: q-dual - (25/2) lm, the direction in which both refutations' classes move with w.
+TWIST = H4Class(lm=-Q(25, 2), qdual=1)
 
 
 def ns_product(alpha: Sequence[int], beta: Sequence[int]) -> H4Class:
@@ -104,19 +119,23 @@ _GRAM_NONZERO = tuple(
 )
 
 
-def h4_pair(x: H4Class, y: H4Class) -> Q:
+def h4_pair(x: H4Class, y: H4Class) -> Q | RatPoly:
     """Bilinear intersection pairing on degree-4 Hodge classes.
 
     Only 6 of the 16 Gram entries are non-zero, and all are integers, so
 
         <x, y> = 2 (x_l2 y_m2 + x_lm y_lm + x_m2 y_l2)
                  + 25 (x_lm y_qdual + x_qdual y_lm) + 575 x_qdual y_qdual.
+
+    With coordinates affine in w the pairing is the polynomial in w, of
+    degree at most 2; the contracted-surface certificate checks that the
+    entries of M_[S] have degree 0 in w and raises if one does not.
     """
     xs, ys = x.coords(), y.coords()
     return sum(xs[i] * g * ys[j] for i, j, g in _GRAM_NONZERO)
 
 
-def intersection_matrix(eta: H4Class) -> tuple[tuple[Q, Q], tuple[Q, Q]]:
+def intersection_matrix(eta: H4Class) -> tuple[tuple, tuple]:
     """M_eta = ((eta.l^2, eta.lm), (eta.lm, eta.m^2)) as exact intersection numbers."""
     a = h4_pair(eta, L2)
     b = h4_pair(eta, LM)
@@ -148,15 +167,12 @@ class BoundaryWitness:
     def q(self) -> Q:
         return 2 * self.x * self.y + 2 * self.u * self.v
 
-    def coords(self) -> tuple[Q, Q, Q, Q]:
-        return (self.x, self.y, self.u, self.v)
-
 
 #: The witness used by every certificate: omega = l + m + e' - f'.
 OMEGA = BoundaryWitness(1, 1, 1, -1)
 
 
-def boundary_value(eta: H4Class, omega: BoundaryWitness = OMEGA) -> Q:
+def boundary_value(eta: H4Class, omega: BoundaryWitness = OMEGA) -> Q | RatPoly:
     """integral(eta * omega^2) for a boundary class omega with q(omega) = 0.
 
     On the Sym^2 block the Fujiki identity at q(omega) = 0 and c_X = 3 gives
@@ -167,16 +183,9 @@ def boundary_value(eta: H4Class, omega: BoundaryWitness = OMEGA) -> Q:
     return eta.l2 * 2 * ql * ql + eta.lm * 2 * ql * qm + eta.m2 * 2 * qm * qm
 
 
-# ---------------------------------------------------------------------------
-# polynomial-in-w helpers (quadratic interpolation; the pairings are quadratic)
-
-
-def _quadratic_in_w(f) -> RatPoly:
-    """Recover the quadratic polynomial w -> f(w) from exact values at -1, 0, 1."""
-    p0, p1, pm1 = f(Q(0)), f(Q(1)), f(Q(-1))
-    lin = (p1 - pm1) / 2
-    quad = (p1 + pm1) / 2 - p0
-    return RatPoly((p0, lin, quad))
+def _coefficients(p: RatPoly, n: int) -> list[Q]:
+    """The n lowest coefficients of p, lowest degree first, as reported (Q(0) past the degree)."""
+    return [p.coefficient(k) for k in range(n)]
 
 
 def _linear_root(p: RatPoly) -> Q:
@@ -223,18 +232,10 @@ def primitive_integer_form(p: RatPoly) -> tuple[RatPoly, int]:
     while not coeffs[0]:
         coeffs.pop(0)
         k += 1
-    denom_lcm = 1
-    for c in coeffs:
-        cq = Q(c)
-        denom_lcm = denom_lcm * cq.denominator // gcd(denom_lcm, cq.denominator)
-    ints = [Q(c) * denom_lcm for c in coeffs]
-    g = 0
-    for c in ints:
-        g = gcd(g, int(c))
-    ints = [Q(int(c) // g) for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return RatPoly(tuple(ints)), k
+    den = lcm(*(Q(c).denominator for c in coeffs))
+    ints = [int(Q(c) * den) for c in coeffs]
+    g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
+    return RatPoly(tuple(Q(c // g) for c in ints)), k
 
 
 def root_scan(c0: int, c1: int, c2: int) -> tuple[list[int], list[Q]]:
@@ -254,13 +255,6 @@ def root_scan(c0: int, c1: int, c2: int) -> tuple[list[int], list[Q]]:
         }
     )
     return integer_roots, rational_roots
-
-
-def _proportional(p: RatPoly, q: RatPoly) -> bool:
-    if p.degree != q.degree or p.is_zero or q.is_zero:
-        return False
-    ratio = Q(p.coeffs[-1]) / Q(q.coeffs[-1])
-    return all(Q(a) == ratio * Q(b) for a, b in zip(p.coeffs, q.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +300,13 @@ def lagrangian_plane_certificate() -> dict:
         - 3 * (det * det)
     )
     quad, stripped = primitive_integer_form(eliminated)
-    target = RatPoly((Q(-525), Q(20), Q(92)))
 
-    # independent cross-check: resultant chain in t then u
-    def in_u(*xcoeffs) -> RatPoly:
-        return RatPoly(tuple(xcoeffs))
-
+    # independent cross-check: resultant chain in t then u, over Q[x][u]
     zero_ux = RatPoly()
-    e1_t = [in_u(RatPoly.constant(Q(-3)), zero_x, qQQ), in_u(zero_x, 2 * qQA), in_u(qAA)]
-    e2_t = [in_u(RatPoly.constant(Q(3)), C2_FACTOR * qQQ), in_u(C2_FACTOR * qQA)]
-    e3_t = [in_u(-(x * x), qQA), in_u(qAA)]
+    e1_t = [RatPoly((RatPoly.constant(Q(-3)), zero_x, qQQ)), RatPoly((zero_x, 2 * qQA)),
+            RatPoly((qAA,))]
+    e2_t = [RatPoly((RatPoly.constant(Q(3)), C2_FACTOR * qQQ)), RatPoly((C2_FACTOR * qQA,))]
+    e3_t = [RatPoly((-(x * x), qQA)), RatPoly((qAA,))]
     r13 = resultant(e1_t, e3_t, zero_ux)  # in Q[x][u]
     r23 = resultant(e2_t, e3_t, zero_ux)
     chained = resultant(list(r13.coeffs), list(r23.coeffs), zero_x)  # in Q[x]
@@ -346,12 +337,9 @@ def lagrangian_plane_certificate() -> dict:
             }
         )
 
-    ok = (
-        _proportional(quad, target)
-        and _proportional(quad_res, target)
-        and not integer_roots
-        and all(b["consistent"] for b in back)
-    )
+    # both quadratics are primitive with a positive leading coefficient, so
+    # the two methods agree exactly when the polynomials are equal
+    ok = quad == quad_res and not integer_roots and all(b["consistent"] for b in back)
     return {
         "status": "UNSAT" if ok else "SAT",
         "deduction": (
@@ -361,11 +349,12 @@ def lagrangian_plane_certificate() -> dict:
             f"independent resultant chain yields the same primitive quadratic: "
             f"{quad_res.pretty('x')}",
             f"rational roots {{{', '.join(str(r) for r in rational_roots)}}}; "
-            "integer-root scan over divisors of 525: none",
+            f"integer-root scan over divisors of {abs(quad.coefficient(0))}: "
+            f"{', '.join(str(r) for r in integer_roots) or 'none'}",
             "q(A) must be an integer, so no Lagrangian plane class exists",
         ),
-        "quadratic": [quad.coefficient(k) for k in range(3)],
-        "quadratic_resultant": [quad_res.coefficient(k) for k in range(3)],
+        "quadratic": _coefficients(quad, 3),
+        "quadratic_resultant": _coefficients(quad_res, 3),
         "roots": sorted(roots),
         "integer_roots": integer_roots,
         "rational_roots": rational_roots,
@@ -376,25 +365,6 @@ def lagrangian_plane_certificate() -> dict:
 
 # ---------------------------------------------------------------------------
 # certificate 2: no contracted surface
-
-
-def _contracted_class(t: int) -> "tuple":
-    """[S](w) and [S'](w) = 2(l+m)(-l+m) - [S] as H4 classes with w symbolic.
-
-    Returned as functions of w.
-    """
-    base = ns_product((1, 1), (-1, 1)).scale(2)
-
-    def S(w: Q) -> H4Class:
-        w = Q(w)
-        core = H4Class(l2=Q(t, 2), lm=-Q(t, 2), m2=Q(t, 2))
-        twist = H4Class(lm=-Q(25, 2) * w, qdual=w)
-        return core + twist
-
-    def Sprime(w: Q) -> H4Class:
-        return base - S(w)
-
-    return S, Sprime
 
 
 def contracted_surface_certificate() -> dict:
@@ -411,26 +381,27 @@ def contracted_surface_certificate() -> dict:
     survives both constraints, so the certificate is not vacuous.
     """
     probe = 5
+    s_plus_sp = ns_product((1, 1), (-1, 1)).scale(2)  # [S] + [S'] = 2(l+m)(-l+m)
     cases = []
     all_unsat = True
     for t in (1, 2, 3, 4, probe):
-        S, Sp = _contracted_class(t)
-        m_s = intersection_matrix(S(Q(0)))
-        if m_s != intersection_matrix(S(Q(1))):
+        S = H4Class(l2=Q(t, 2), lm=-Q(t, 2), m2=Q(t, 2)) + TWIST.scale(W)
+        m_s = intersection_matrix(S)
+        if any(entry.degree > 0 for row in m_s for entry in row):
             raise AssertionError("M_[S] must not depend on w")
-        two_s_sq = _quadratic_in_w(lambda w: 2 * h4_pair(S(w), S(w)))
-        bv_s = _quadratic_in_w(lambda w: boundary_value(S(w)))
-        bv_sp = _quadratic_in_w(lambda w: boundary_value(Sp(w)))
+        two_s_sq = 2 * h4_pair(S, S)
+        bv_s = boundary_value(S)
+        bv_sp = boundary_value(s_plus_sp - S)
         # witness forces t - 25w >= 0 and 25w - t >= 0, so w is the root of t - 25w
         forced_w = _linear_root(bv_s)
         five_w = 5 * forced_w
         survives = is_integer(five_w)
         case = {
             "t": t,
-            "M_S": m_s,
-            "two_S_sq": [two_s_sq.coefficient(k) for k in range(3)],
-            "boundary_S": [bv_s.coefficient(k) for k in range(2)],
-            "boundary_S_prime": [bv_sp.coefficient(k) for k in range(2)],
+            "M_S": tuple(tuple(entry.coefficient(0) for entry in row) for row in m_s),
+            "two_S_sq": _coefficients(two_s_sq, 3),
+            "boundary_S": _coefficients(bv_s, 2),
+            "boundary_S_prime": _coefficients(bv_sp, 2),
             "forced_w": forced_w,
             "five_w": five_w,
             "verdict": "SAT-candidate" if survives else "UNSAT",
@@ -480,16 +451,13 @@ def sigma_split_certificate() -> dict:
     forces w <= 1/25 < 1/5.  Both kill paths are recorded, together with a
     finite scan of every candidate w with denominator in {1, 5}.
     """
-
-    def sigma(i: int, w: Q) -> H4Class:
-        sign = -1 if i == 1 else 1
-        return H4Class(lm=Q(1, 2)) + H4Class(lm=-Q(25, 2), qdual=1).scale(sign * Q(w))
-
-    s1_sq = _quadratic_in_w(lambda w: h4_pair(sigma(1, w), sigma(1, w)))
-    s2_sq = _quadratic_in_w(lambda w: h4_pair(sigma(2, w), sigma(2, w)))
-    cross = _quadratic_in_w(lambda w: h4_pair(sigma(1, w), sigma(2, w)))
-    bv_s2 = _quadratic_in_w(lambda w: boundary_value(sigma(2, w)))
-    bv_s1 = _quadratic_in_w(lambda w: boundary_value(sigma(1, w)))
+    sigma1 = H4Class(lm=Q(1, 2)) + TWIST.scale(-W)
+    sigma2 = H4Class(lm=Q(1, 2)) + TWIST.scale(W)
+    s1_sq = h4_pair(sigma1, sigma1)
+    s2_sq = h4_pair(sigma2, sigma2)
+    cross = h4_pair(sigma1, sigma2)
+    bv_s2 = boundary_value(sigma2)
+    bv_s1 = boundary_value(sigma1)
     two_s1_sq = 2 * s1_sq
     two_cross = 2 * cross
 
@@ -530,13 +498,13 @@ def sigma_split_certificate() -> dict:
             f"{w_min} > {w_max}: the two constraints are jointly infeasible, UNSAT",
         ),
         "witnesses": ("omega = l + m + e' - f' (q = 0, q(.,l) = q(.,m) = 1)",),
-        "sigma1_sq": [s1_sq.coefficient(k) for k in range(3)],
-        "sigma2_sq": [s2_sq.coefficient(k) for k in range(3)],
-        "sigma1_sigma2": [cross.coefficient(k) for k in range(3)],
-        "two_sigma1_sq": [two_s1_sq.coefficient(k) for k in range(3)],
-        "two_sigma1_sigma2": [two_cross.coefficient(k) for k in range(3)],
-        "boundary_sigma2": [bv_s2.coefficient(k) for k in range(2)],
-        "boundary_sigma1": [bv_s1.coefficient(k) for k in range(2)],
+        "sigma1_sq": _coefficients(s1_sq, 3),
+        "sigma2_sq": _coefficients(s2_sq, 3),
+        "sigma1_sigma2": _coefficients(cross, 3),
+        "two_sigma1_sq": _coefficients(two_s1_sq, 3),
+        "two_sigma1_sigma2": _coefficients(two_cross, 3),
+        "boundary_sigma2": _coefficients(bv_s2, 2),
+        "boundary_sigma1": _coefficients(bv_s1, 2),
         "w_min_integrality": w_min,
         "w_max_witness": w_max,
         "candidates": candidates,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .rationals import Q
 
@@ -107,24 +107,17 @@ def hyperbolic_pair_normalize(q_l: int, q_m: int, q_lm: int) -> dict:
     return {"gamma": Q(new_qm, p), "sign_flip": flip, "shift": r, "q_lm": p, "q_m": new_qm}
 
 
-@dataclass(frozen=True)
-class Reflection:
-    """The integral involution v -> v + q(v, e) * e for a class e with q(e) = -2."""
+def reflection_about(e: Sequence[int]) -> Callable[[Sequence[int]], Vector]:
+    """The integral involution v -> v + q(v, e) * e of U, for a class e with q(e) = -2."""
+    e = tuple(int(x) for x in e)
+    if U.q(e) != -2:
+        raise ValueError("reflection requires a class of square -2")
 
-    e: Vector
-    lattice: QuadLattice
+    def reflect(v: Sequence[int]) -> Vector:
+        c = U.pair(v, e)
+        return tuple(vi + c * ei for vi, ei in zip(v, e))
 
-    def __post_init__(self):
-        if self.lattice.q(self.e) != -2:
-            raise ValueError("reflection requires a class of square -2")
-
-    def __call__(self, v: Sequence[int]) -> Vector:
-        c = self.lattice.pair(v, self.e)
-        return tuple(v[i] + c * self.e[i] for i in range(self.lattice.rank))
-
-
-def reflection_about(e: Sequence[int], lattice: QuadLattice = U) -> Reflection:
-    return Reflection(tuple(int(x) for x in e), lattice)
+    return reflect
 
 
 def prime_exceptional_scan() -> dict:

@@ -254,6 +254,9 @@ def bott_p2(q: int, d: int) -> tuple[int, int, int]:
 # ---------------------------------------------------------------------------
 # Mukai-vector arithmetic on the contracted K3 surface (H^2 = 2)
 
+#: H^2 for the polarization H of the contracted K3 surface.
+POLARIZATION_DEGREE = 2
+
 
 @dataclass(frozen=True)
 class MukaiVector:
@@ -262,12 +265,11 @@ class MukaiVector:
     rank: int
     c1_coeff: int
     s: int
-    polarization_degree: int = 2
 
     def pairing(self, other: "MukaiVector") -> int:
         """<(r, c, s), (r', c', s')> = 2 c c' - r s' - r' s (with H^2 = 2)."""
         return (
-            self.polarization_degree * self.c1_coeff * other.c1_coeff
+            POLARIZATION_DEGREE * self.c1_coeff * other.c1_coeff
             - self.rank * other.s
             - other.rank * self.s
         )
@@ -286,7 +288,6 @@ class MukaiVector:
             rank=self.rank,
             c1_coeff=self.c1_coeff + self.rank * k,
             s=self.s + 2 * k * self.c1_coeff + self.rank * k * k,
-            polarization_degree=self.polarization_degree,
         )
 
 

@@ -504,6 +504,21 @@ class TestBettiIntegers:
         assert code == 2, err
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("valid", [True, False])
+    def test_scenario_betti_data_flag_overrides_the_doc_path(self, tmp_path, valid):
+        betti, path = tmp_path / "flag_betti.json", tmp_path / "scenario.json"
+        betti.write_text(BETTI_TEXT if valid
+                         else json.dumps([*BETTI[:-1], dict(BETTI[-1], b3="8")]))
+        missing = str(tmp_path / "missing_betti.json")
+        path.write_text(json.dumps(dict(K3SQ, overrides={"a": "3", "betti_data_path": missing})))
+        code, out, err = run_main("scenario", str(path), "--betti-data", str(betti))
+        if valid:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["classification"]["a"] == 3
+        else:
+            assert code == 2 and out == "" and err.count("\n") == 1
+            assert err.startswith("error: ") and "flag_betti.json" in err, err
+
 
 class TestExpectationsReadOncePerSuite:
     def test_suite_reads_once_and_a_lone_certificate_reads_once(self, monkeypatch):

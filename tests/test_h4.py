@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hk4 import h4
+from hk4.cli import main
 from hk4.fujiki import fujiki4_pairing
 from hk4.h4 import (
     _GRAM,
@@ -15,6 +17,8 @@ from hk4.h4 import (
     M2,
     OMEGA,
     QDUAL,
+    TWIST,
+    W,
     BoundaryWitness,
     H4Class,
     boundary_value,
@@ -212,6 +216,11 @@ class TestResultantMachinery:
         assert k == 2
         assert prim == RatPoly((-525, 20, 92))
 
+    def test_primitive_integer_form_makes_the_leading_coefficient_positive(self):
+        prim, k = primitive_integer_form(RatPoly((Q(525, 2), Q(-10), Q(-46))))
+        assert (prim, k) == (RatPoly((-525, 20, 92)), 0)
+        assert all(type(c) is Fraction for c in prim.coeffs)
+
 
 class TestLagrangianPlane:
     def test_certificate(self):
@@ -231,6 +240,65 @@ class TestLagrangianPlane:
         # spot-check the x = -5/2 branch
         b = next(e for e in back if e["x"] == Q(-5, 2))
         assert (b["t"], b["u"]) == (Q(1, 2), Q(1, 20))
+
+
+def _verify_plane_exit_code(capsys):
+    code = main(["verify", "nefcone-plane"])
+    capsys.readouterr()
+    return code
+
+
+class TestPlaneVerdictIsDerived:
+    """Each half of the plane certificate's verdict can turn it SAT and fail verification."""
+
+    def test_an_integer_root_makes_it_sat(self, monkeypatch, capsys):
+        monkeypatch.setattr(h4, "root_scan", lambda c0, c1, c2: ([1], [Q(1)]))
+        res = lagrangian_plane_certificate()
+        assert res["status"] == "SAT"
+        assert res["deduction"][2].endswith("divisors of 525: 1")
+        assert _verify_plane_exit_code(capsys) == 1
+
+    def test_a_resultant_quadratic_that_differs_makes_it_sat(self, monkeypatch, capsys):
+        real = h4.resultant
+
+        def shifted(p, q, zero):
+            r = real(p, q, zero)
+            # only the last resultant of the chain, over Q[x], has rational coefficients
+            return r + 1 if type(r.coefficient(0)) is Fraction else r
+
+        monkeypatch.setattr(h4, "resultant", shifted)
+        res = lagrangian_plane_certificate()
+        assert res["quadratic"] == [Q(-525), Q(20), Q(92)]
+        assert res["quadratic_resultant"] != res["quadratic"]
+        assert res["status"] == "SAT"
+        assert _verify_plane_exit_code(capsys) == 1
+
+
+class TestClassesAffineInW:
+    """Coordinates may be polynomials in w; the pairings are then the polynomials in w."""
+
+    def test_polynomial_coordinates_are_kept(self):
+        eta = H4Class(lm=Q(1, 2)) + TWIST.scale(W)
+        assert eta.lm == RatPoly((Q(1, 2), Q(-25, 2)))
+        assert eta.qdual == W and type(eta.l2) is RatPoly
+
+    def test_pairing_and_boundary_match_values_at_samples(self):
+        # test-only oracle: the classes at fixed w, paired over the rationals
+        rng = random.Random(20261018)
+        for _ in range(20):
+            x0, y0, x1, y1 = (H4Class(*(Q(rng.randint(-9, 9), rng.randint(1, 5))
+                                        for _ in range(4))) for _ in range(4))
+            x, y = x0 + x1.scale(W), y0 + y1.scale(W)
+            pair, bv = h4_pair(x, y), boundary_value(x)
+            assert pair.degree <= 2 and bv.degree <= 1
+            for w in (Q(-2), Q(0), Q(1, 5), Q(7, 3)):
+                assert pair(w) == h4_pair(x0 + x1.scale(w), y0 + y1.scale(w))
+                assert bv(w) == boundary_value(x0 + x1.scale(w))
+
+    def test_an_intersection_matrix_that_depends_on_w_raises(self, monkeypatch):
+        monkeypatch.setattr(h4, "TWIST", TWIST + L2)
+        with pytest.raises(AssertionError, match="M_\\[S\\] must not depend on w"):
+            contracted_surface_certificate()
 
 
 class TestContractedSurface:
