@@ -325,7 +325,7 @@ def _load(what: str, read: Callable[[Optional[str]], Any], path: Optional[str]):
     """Read one input file; failing to open, decode or validate it is malformed input."""
     try:
         return read(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:  # deep JSON too
         raise InputError(f"cannot load {what} {path!r}: {exc!r}")
 
 

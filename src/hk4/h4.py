@@ -18,8 +18,10 @@ exact algebra the module certifies three emptiness claims:
 
 Each certificate replaces the universally quantified boundary condition
 "for all omega in the closure of the Kahler cone with q(omega) = 0" by the
-single explicit witness omega = l + m + e' - f' in a second hyperbolic
-summand; the witness and its admissibility are recorded in every report.
+single explicit witness omega = l + m + e' - f', the vector ``OMEGA`` of
+``lattices.U2``; the witness and its admissibility are recorded in every
+report.  Both forms are ``lattices.QuadLattice``s: ``h4_pair`` is ``H4.pair``
+and ``boundary_value`` reads q(omega, l) and q(omega, m) from ``U2.pair``.
 
 The unknown of each refutation is a polynomial indeterminate: x = q(A) for
 the plane, w for the contracted surface and the splitting of lm.  Classes
@@ -31,12 +33,13 @@ polynomials in w directly; ``M_[S]`` is checked to have degree 0 in w.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .fujiki import fujiki4_pairing
-from .lattices import U
-from .rationals import Q, RatPoly, det_cofactor, divisors, is_integer, sqrt_rational
+from .lattices import U, U2, QuadLattice
+from .rationals import (Q, RatPoly, det_cofactor, divisors, is_integer, sqrt_rational,
+                        squarefree_part)
 
 B2 = 23
 QDUAL_NS = B2 + 2  # <q-dual, alpha*beta> = 25 q(alpha, beta)
@@ -111,18 +114,12 @@ def _sym2_gram() -> tuple[tuple[Q, ...], ...]:
     return tuple(rows)
 
 
-_GRAM = _sym2_gram()
-
-#: The 6 non-zero entries (i, j, value) of _GRAM; every one is an integer.
-_GRAM_NONZERO = tuple(
-    (i, j, int(g)) for i, row in enumerate(_GRAM) for j, g in enumerate(row) if g
-)
+#: The degree-4 pairing; its 6 non-zero Gram entries are integers.
+H4 = QuadLattice(_sym2_gram())
 
 
 def h4_pair(x: H4Class, y: H4Class) -> Q | RatPoly:
-    """Bilinear intersection pairing on degree-4 Hodge classes.
-
-    Only 6 of the 16 Gram entries are non-zero, and all are integers, so
+    """Bilinear intersection pairing on degree-4 Hodge classes, ``H4.pair`` on coordinates:
 
         <x, y> = 2 (x_l2 y_m2 + x_lm y_lm + x_m2 y_l2)
                  + 25 (x_lm y_qdual + x_qdual y_lm) + 575 x_qdual y_qdual.
@@ -131,8 +128,7 @@ def h4_pair(x: H4Class, y: H4Class) -> Q | RatPoly:
     degree at most 2; the contracted-surface certificate checks that the
     entries of M_[S] have degree 0 in w and raises if one does not.
     """
-    xs, ys = x.coords(), y.coords()
-    return sum(xs[i] * g * ys[j] for i, j, g in _GRAM_NONZERO)
+    return H4.pair(x.coords(), y.coords())
 
 
 def intersection_matrix(eta: H4Class) -> tuple[tuple, tuple]:
@@ -143,49 +139,39 @@ def intersection_matrix(eta: H4Class) -> tuple[tuple, tuple]:
     return ((a, b), (b, c))
 
 
-@dataclass(frozen=True)
-class BoundaryWitness:
-    """A boundary class omega = x*l + y*m + u*e' + v*f' in two hyperbolic planes.
-
-    Admissibility: q(omega) = 2xy + 2uv = 0 on the nose, and the nef-side
-    pairings q(omega, l) = y and q(omega, m) = x are nonnegative.
-    """
-
-    x: Q
-    y: Q
-    u: Q
-    v: Q
-
-    def __post_init__(self):
-        for f in ("x", "y", "u", "v"):
-            object.__setattr__(self, f, Q(getattr(self, f)))
-        if self.q() != 0:
-            raise ValueError(f"boundary witness must satisfy q(omega) = 0, got {self.q()}")
-        if self.y < 0 or self.x < 0:
-            raise ValueError("boundary witness must pair nonnegatively with l and m")
-
-    def q(self) -> Q:
-        return 2 * self.x * self.y + 2 * self.u * self.v
+#: The witness used by every certificate: omega = l + m + e' - f' in U2, basis (l, m, e', f').
+OMEGA = (1, 1, 1, -1)
 
 
-#: The witness used by every certificate: omega = l + m + e' - f'.
-OMEGA = BoundaryWitness(1, 1, 1, -1)
-
-
-def boundary_value(eta: H4Class, omega: BoundaryWitness = OMEGA) -> Q | RatPoly:
-    """integral(eta * omega^2) for a boundary class omega with q(omega) = 0.
+def boundary_value(eta: H4Class, omega: Sequence[int] = OMEGA) -> Q | RatPoly:
+    """integral(eta * omega^2) for a boundary class omega of U2 with q(omega) = 0.
 
     On the Sym^2 block the Fujiki identity at q(omega) = 0 and c_X = 3 gives
     integral(alpha*beta*omega^2) = 2 q(alpha, omega) q(beta, omega); the
-    q-dual summand contributes 25 q(omega) = 0.
+    q-dual summand contributes 25 q(omega) = 0.  Raises ValueError unless
+    omega is admissible: q(omega) = 0 and q(omega, l), q(omega, m) >= 0.
     """
-    ql, qm = omega.y, omega.x  # q(omega, l), q(omega, m) in the hyperbolic basis
+    if U2.q(omega) != 0:
+        raise ValueError(f"boundary witness must satisfy q(omega) = 0, got {U2.q(omega)}")
+    ql, qm = U2.pair(omega, (1, 0, 0, 0)), U2.pair(omega, (0, 1, 0, 0))
+    if ql < 0 or qm < 0:
+        raise ValueError("boundary witness must pair nonnegatively with l and m")
     return eta.l2 * 2 * ql * ql + eta.lm * 2 * ql * qm + eta.m2 * 2 * qm * qm
 
 
 def _coefficients(p: RatPoly, n: int) -> list[Q]:
     """The n lowest coefficients of p, lowest degree first, as reported (Q(0) past the degree)."""
     return [p.coefficient(k) for k in range(n)]
+
+
+def _w_denominator_bound(two_sq: RatPoly) -> int:
+    """The largest d with d^2 | c, for c the w^2 coefficient of 2 eta^2 = c0 + c w^2.
+
+    When c0 and 2 eta^2 are integers so is c w^2; with w = p/d in lowest
+    terms, d^2 | c p^2 forces d^2 | c, so d divides isqrt(c / squarefree(c)).
+    """
+    c = int(two_sq.coefficient(2))
+    return isqrt(c // squarefree_part(c))
 
 
 def _linear_root(p: RatPoly) -> Q:
@@ -394,7 +380,7 @@ def contracted_surface_certificate() -> dict:
         bv_sp = boundary_value(s_plus_sp - S)
         # witness forces t - 25w >= 0 and 25w - t >= 0, so w is the root of t - 25w
         forced_w = _linear_root(bv_s)
-        five_w = 5 * forced_w
+        five_w = _w_denominator_bound(two_s_sq) * forced_w
         survives = is_integer(five_w)
         case = {
             "t": t,
@@ -461,13 +447,14 @@ def sigma_split_certificate() -> dict:
     two_s1_sq = 2 * s1_sq
     two_cross = 2 * cross
 
-    # candidate scan: w = 0 and every w = p/5 with 1 <= p <= 10
+    # candidate scan: w = 0 and every w = p/d with 0 < w <= 2, d the denominator bound (5)
     candidates = []
     odd_w = []  # the scanned w with 525 w^2 an odd integer
-    scan = [Q(0)] + [Q(p, 5) for p in range(1, 11)]
+    d = _w_denominator_bound(two_s1_sq)
+    scan = [Q(0)] + [Q(p, d) for p in range(1, 2 * d + 1)]
     for w in scan:
         kills = []
-        odd = 525 * w * w
+        odd = two_s1_sq.coefficient(2) * w * w
         if is_integer(odd) and int(odd) % 2 == 1:
             odd_w.append(w)
         else:

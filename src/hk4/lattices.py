@@ -1,10 +1,13 @@
 """Integral quadratic lattices and the rank-2 hyperbolic geometry.
 
-The degree-2 lattice of a hyper-Kahler fourfold restricts, on the span of the
-two distinguished isotropic-ish classes l and m, to a rank-2 sublattice.  This
-module provides the Gram-matrix calculus, the normalization m -> +-m + r*l,
-the (-2)-reflection, the enumeration of prime exceptional classes, and the
-four cones of divisor classes in the two combinatorial cases t0 = 0, 1.
+``QuadLattice`` is the engine's one bilinear-form implementation: the BBF
+form on the isotropic pair (l, m) is the hyperbolic plane ``U``, the
+boundary witness omega = l + m + e' - f' is a vector of ``U2 = U + U``, and
+``h4`` pairs degree-4 classes through a ``QuadLattice`` over
+(l^2, lm, m^2, q-dual).  On the span of l and m this module also provides the
+normalization m -> +-m + r*l, the (-2)-reflection, the enumeration of prime
+exceptional classes, and the four cones of divisor classes in the two
+combinatorial cases t0 = 0, 1.
 """
 
 from __future__ import annotations
@@ -20,30 +23,38 @@ Vector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class QuadLattice:
-    """Integral quadratic lattice given by a symmetric Gram matrix."""
+    """Integral quadratic lattice given by a symmetric Gram matrix.
+
+    ``pair`` sums over the non-zero entries (i, j, g), listed once here; its
+    result has the coordinates' type (an int on integer vectors).
+    """
 
     gram: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        g = tuple(tuple(int(x) for x in row) for row in self.gram)
+        g = tuple(tuple(Q(x) for x in row) for row in self.gram)
+        if any(x.denominator != 1 for row in g for x in row):  # exact: 1/2 or 1.5 is not truncated
+            raise ValueError("Gram entries must be integers")
+        g = tuple(tuple(x.numerator for x in row) for row in g)
         object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if g[i][j] != g[j][i]:
-                    raise ValueError("Gram matrix must be symmetric")
+        if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
+            raise ValueError("Gram matrix must be symmetric")
+        nonzero = tuple((i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x)
+        object.__setattr__(self, "_nonzero", nonzero)
 
     @property
     def rank(self) -> int:
         return len(self.gram)
 
-    def pair(self, v: Sequence[int], w: Sequence[int]) -> int:
-        """The bilinear form q(v, w) = v^T G w (exact integer)."""
-        if len(v) != self.rank or len(w) != self.rank:
+    def pair(self, v: Sequence, w: Sequence):
+        """The bilinear form q(v, w) = v^T G w, summed over the non-zero entries of G."""
+        n = len(self.gram)
+        if len(v) != n or len(w) != n:
             raise ValueError("vector length does not match lattice rank")
-        return sum(v[i] * self.gram[i][j] * w[j] for i in range(self.rank) for j in range(self.rank))
+        return sum(v[i] * g * w[j] for i, j, g in self._nonzero)
 
     def q(self, v: Sequence[int]) -> int:
         """The quadratic form q(v) = v^T G v."""

@@ -57,7 +57,7 @@ def chi_table() -> dict:
     """
     return {
         "entries": [
-            {"p": p, "q": q, "bbf_value": 2 * p * q, "chi": RR(2 * p * q), "h0_source": src}
+            {"p": p, "q": q, "bbf_value": U.q((p, q)), "chi": RR(U.q((p, q))), "h0_source": src}
             for p, q, src in _PINNED
         ],
         "k_L": 1,
@@ -92,7 +92,7 @@ def koszul_counts(h0_L: int = 1, h0_M: int = 1) -> dict:
     the Castelnuovo bound binom(2+1, 2) = 3; that contradiction is the
     content of the final flag.
     """
-    chi11, chi21, chi12, chi22 = (int(RR(2 * p * q)) for p, q in ((1, 1), (2, 1), (1, 2), (2, 2)))
+    chi11, chi21, chi12, chi22 = (int(RR(U.q(v))) for v in ((1, 1), (2, 1), (1, 2), (2, 2)))
     ideal_lm = h0_L + h0_M - 1
     ideal_l2m2 = chi21 + chi12 - chi11
     restricted = chi22 - ideal_l2m2
@@ -300,8 +300,8 @@ def mukai_solve() -> dict:
     characteristics gives two linear conditions on the unknown (s, s'),
     namely chi(Sigma, E) = s' + 2 = 3 and chi(Sigma, E(-H)) = 5 - 2s = 3.
     """
-    chi_E = int(RR(2 * 1 * 0) - RR(2 * 2 * -1))  # chi(1, 0) - chi(2, -1) = 3 - 0
-    chi_E_down = int(RR(2 * 0 * -1) - RR(2 * 1 * -2))  # chi(0, -1) - chi(1, -2) = 3 - 0
+    chi_E = int(RR(U.q((1, 0))) - RR(U.q((2, -1))))  # chi(1, 0) - chi(2, -1) = 3 - 0
+    chi_E_down = int(RR(U.q((0, -1))) - RR(U.q((1, -2))))  # chi(0, -1) - chi(1, -2) = 3 - 0
     # chi(Sigma, (2, s H, s')) = 2 + s' ; chi of the (-1)-twist = 4 + s' - 2s
     s_prime = chi_E - 2
     s = (4 + s_prime - chi_E_down) // 2

@@ -450,6 +450,19 @@ class TestInputBoundary:
         assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
         assert "Traceback" not in res.stderr
 
+    @pytest.mark.parametrize("route", ["scenario", "betti_data_path", "--betti-data"])
+    def test_json_nested_past_the_recursion_limit_exits_2(self, tmp_path, route):
+        deep, path = tmp_path / "deep.json", tmp_path / "scenario.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        path.write_text(json.dumps(dict(SMALL, overrides={"a": "2", "betti_data_path": str(deep)})))
+        argv = {"scenario": ["scenario", str(deep)],
+                "betti_data_path": ["scenario", str(path)],
+                "--betti-data": ["classify", "--a", "1", "--betti-data", str(deep)]}[route]
+        res = run_cli(*argv)
+        assert res.returncode == 2, res.stderr
+        assert res.stdout == "" and "Traceback" not in res.stderr
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+
     def test_usage_errors_are_one_line(self):
         for argv in ([], ["verify", "bogus"], ["classify"], ["classify", "--a", "x"],
                      ["report", "--jobs", "4"], ["verify", "all", "--jobs", "4"]):

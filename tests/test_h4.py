@@ -11,7 +11,6 @@ from hk4 import h4
 from hk4.cli import main
 from hk4.fujiki import fujiki4_pairing
 from hk4.h4 import (
-    _GRAM,
     LM,
     L2,
     M2,
@@ -19,8 +18,8 @@ from hk4.h4 import (
     QDUAL,
     TWIST,
     W,
-    BoundaryWitness,
     H4Class,
+    _sym2_gram,
     boundary_value,
     contracted_surface_certificate,
     h4_pair,
@@ -32,7 +31,7 @@ from hk4.h4 import (
     root_scan,
     sigma_split_certificate,
 )
-from hk4.lattices import U
+from hk4.lattices import U, U2
 from hk4.rationals import Q, RatPoly, divisors, is_integer
 
 small_rats = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -83,6 +82,9 @@ class TestPairing:
             )
 
 
+_GRAM = _sym2_gram()  # the dense Fraction Gram matrix, all 16 entries
+
+
 def _dense_pair(x, y):
     """Test-only reference: the full 16-term sum over the Fraction Gram matrix."""
     xs, ys = x.coords(), y.coords()
@@ -95,7 +97,7 @@ sparse_classes = st.builds(H4Class, sparse_rats, sparse_rats, sparse_rats, spars
 
 
 class TestPairingIntegerGram:
-    """h4_pair sums the 6 non-zero integer Gram entries; the reference sums all 16."""
+    """h4_pair sums the 6 non-zero integer entries of H4; the reference sums all 16."""
 
     @given(sparse_classes, sparse_classes)
     @settings(max_examples=150)
@@ -170,16 +172,18 @@ class TestIntersectionMatrix:
 
 class TestBoundaryWitness:
     def test_default_witness(self):
-        assert OMEGA.q() == 0
-        assert OMEGA.x == OMEGA.y == 1
+        assert U2.q(OMEGA) == 0
+        assert U2.pair(OMEGA, (1, 0, 0, 0)) == U2.pair(OMEGA, (0, 1, 0, 0)) == 1
 
     def test_rejects_nonisotropic(self):
         with pytest.raises(ValueError):
-            BoundaryWitness(1, 1, 1, 1)
+            boundary_value(LM, (1, 1, 1, 1))
 
     def test_rejects_negative_pairing(self):
         with pytest.raises(ValueError):
-            BoundaryWitness(-1, 1, 1, 1)
+            boundary_value(LM, (-1, 1, 1, 1))
+        with pytest.raises(ValueError):
+            boundary_value(LM, (1, -1, 1, 1))
 
     def test_values(self):
         assert boundary_value(LM, OMEGA) == 2
@@ -190,7 +194,7 @@ class TestBoundaryWitness:
 
     def test_nontrivial_witness(self):
         # q = 2*2*1 + 2*2*(-1) = 0
-        w = BoundaryWitness(2, 1, 2, -1)
+        w = (2, 1, 2, -1)
         assert boundary_value(LM, w) == 2 * 1 * 2
         assert boundary_value(L2, w) == 2
         assert boundary_value(M2, w) == 8
@@ -375,6 +379,19 @@ class TestDerivedValues:
             assert _value(c["boundary_S"], c["forced_w"]) == 0
             assert _value(c["boundary_S_prime"], c["forced_w"]) == 0
             assert c["five_w"] == 5 * c["forced_w"]
+
+    def test_w_denominator_bound_is_read_off_the_w2_coefficient(self):
+        surface, split = contracted_surface_certificate(), sigma_split_certificate()
+        for two_sq in [c["two_S_sq"] for c in surface["cases"]] + [split["two_sigma1_sq"]]:
+            c = int(two_sq[2])
+            assert c == 525
+            # c w^2 integral with w = p/d in lowest terms: d^2 | c; brute-force the largest d
+            bound = max(d for d in range(1, c + 1) if c % (d * d) == 0)
+            assert bound == 5
+        for case in surface["cases"]:
+            assert case["five_w"] == bound * case["forced_w"]
+        scan = [Q(0)] + [Q(p, bound) for p in range(1, 2 * bound + 1)]
+        assert [c["w"] for c in split["candidates"]] == scan
 
     def test_w_max_is_the_root_of_the_sigma2_boundary_value(self):
         v = sigma_split_certificate()

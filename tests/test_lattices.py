@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hk4.lattices import (
     U,
@@ -50,6 +52,56 @@ class TestQuadLattice:
         assert U2.q((1, 1, 1, -1)) == 0
         assert U2.pair((1, 1, 1, -1), (1, 0, 0, 0)) == 1
         assert U2.pair((1, 1, 1, -1), (0, 1, 0, 0)) == 1
+
+
+def _dense_pair(gram, v, w):
+    """Test-only reference: the full double sum v_i G_ij w_j."""
+    n = len(gram)
+    return sum(v[i] * gram[i][j] * w[j] for i in range(n) for j in range(n))
+
+
+@st.composite
+def gram_and_vectors(draw):
+    """A symmetric integer Gram matrix of rank 1-4, mostly zero, and two vectors."""
+    n = draw(st.integers(1, 4))
+    entry = st.one_of(st.just(0), st.just(0), st.integers(-30, 30))
+    upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
+    gram = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
+    vec = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+    return gram, draw(vec), draw(vec)
+
+
+class TestPairIsTheDenseSum:
+    """QuadLattice.pair sums the non-zero Gram entries only; a dense double loop agrees."""
+
+    @given(gram_and_vectors())
+    @settings(max_examples=200)
+    def test_matches_dense_sum(self, data):
+        gram, v, w = data
+        value = QuadLattice(gram).pair(v, w)
+        assert type(value) is int
+        assert value == _dense_pair(gram, v, w)
+
+    def test_zero_gram(self):
+        assert QuadLattice(((0, 0), (0, 0))).pair((3, 4), (5, 6)) == 0
+
+    def test_length_check(self):
+        with pytest.raises(ValueError):
+            U.pair((1, 0, 0), (0, 1))
+        with pytest.raises(ValueError):
+            U2.q((1, 1))
+
+    def test_integral_entries_convert_exactly(self):
+        lat = QuadLattice(((Q(4, 2), Q(1)), (1, 0)))
+        assert lat.gram == ((2, 1), (1, 0))
+        assert all(type(x) is int for row in lat.gram for x in row)
+
+    @pytest.mark.parametrize("bad", [Q(1, 2), 1.5, Q(-7, 3)])
+    def test_non_integral_entry_raises(self, bad):
+        with pytest.raises(ValueError):
+            QuadLattice(((bad, 0), (0, 1)))
+        with pytest.raises(ValueError):
+            QuadLattice(((0, bad), (bad, 0)))
 
 
 class TestHyperbolicPairNormalize:

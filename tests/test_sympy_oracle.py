@@ -1,15 +1,17 @@
-"""sympy as an independent oracle for the nefcone-plane elimination and the Segre determinant.
+"""sympy as an independent oracle: the nefcone-plane elimination, the Segre determinant, the b-window.
 
 sympy is a test-only dependency: these tests are skipped when it is missing.
 """
 
 import pytest
 
+from hk4.classifier import gamma_search, sqrt_gate
 from hk4.h4 import lagrangian_plane_certificate
 from hk4.ledger import SEGRE_DET_GOLDEN, segre_certificate
-from hk4.rationals import Q
+from hk4.rationals import Q, sqrt_rational
 
 sp = pytest.importorskip("sympy")
+sqrt_mod = pytest.importorskip("sympy.ntheory.residue_ntheory").sqrt_mod
 
 t, u, x = sp.symbols("t u x")
 
@@ -51,3 +53,30 @@ def test_segre_determinant():
     cert = segre_certificate()
     det = sp.Matrix(cert["matrix"]).det()
     assert det == cert["det_cofactor"] == cert["det_fraction_free"] == SEGRE_DET_GOLDEN == 70785
+
+
+def _b_window_by_square_roots(a: int, A_X: Q) -> set:
+    """{m/2 : m in (2 beta - a, 2 beta + a], m = a mod 2, m^2 = p mod 8a}, p = 32 a A_X.
+
+    The roots of m^2 = p mod 8a come from sympy; each root class meets the
+    window (of width 2a < 8a) at most once.  Empty unless p is an integer.
+    """
+    p, beta = 32 * a * A_X, sqrt_rational(8 * a * A_X)
+    if p.denominator != 1:
+        return set()
+    lo, modulus = 2 * beta - a, 8 * a
+    found = set()
+    for r in sqrt_mod(int(p), modulus, all_roots=True):
+        m = r + modulus * ((lo - r) // modulus + 1)  # the least m > lo with m = r mod 8a
+        if m <= 2 * beta + a and (m - a) % 2 == 0:
+            found.add(Q(m, 2))
+    return found
+
+
+def test_b_window_states_are_the_square_roots_mod_8a():
+    pairs = 0
+    for a in range(1, 301):
+        for A_X in sqrt_gate(a):
+            pairs += 1
+            assert {s.b for s in gamma_search(a, A_X)} == _b_window_by_square_roots(a, A_X), (a, A_X)
+    assert pairs > 0
