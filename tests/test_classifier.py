@@ -246,6 +246,14 @@ class TestClassify:
         text = dumps_canonical(case_report_json(classify(a)))
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    def test_whole_sweep_is_pinned(self):
+        # every gate-passing a <= 1024 (152 of them), reports concatenated in ascending a
+        sweep = [a for a in GATED_A if a <= 1024]
+        assert len(sweep) == 152
+        text = "".join(dumps_canonical(case_report_json(classify(a))) for a in sweep)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        assert digest == "d6cf46dbf54e972f0d971977e0d36d33863b799983ad44eba58494d0ea7c4937"
+
     def test_per_ax_work_runs_once(self, monkeypatch):
         calls = {"admissible_qlm": 0, "betti_options_for": 0}
         for name in calls:
