@@ -13,6 +13,12 @@ sqrt(2 a A_X), this makes the classification for each a a finite exact
 search.  The engine applies the constraints in a fixed order (sqrt gate,
 then the b-window scan, then admissibility of q(l, m)) and records every
 killed candidate in the trace.
+
+Every decision runs on integers: the gate on a*N, the b-window on
+numerators over one denominator, q-admissibility on P_RR scaled by a
+common denominator.  The trace text is written from those integers too.
+Fractions are built only for what a CaseReport stores: the states, the
+admitted QOptions and their Riemann-Roch polynomials.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from typing import Mapping, Optional, Sequence
 
 from .fujiki import (
     ADMISSIBLE_288AX,
-    IrrationalCoefficient,
     RRPolynomial,
     betti_profile,
     rr_from_cx_ax,
@@ -36,9 +41,9 @@ from .fujiki import (
 from .rationals import (
     Q,
     RatPoly,
-    integrality_witness,
     is_integer,
     is_perfect_square,
+    ratio_to_string,
     sqrt_rational,
     squarefree_part,
 )
@@ -126,8 +131,9 @@ def gamma_search(a: int, A_X: Q, killed: Optional[list] = None) -> list[Classifi
     4 A_X - b^2/(2a) is an integer, which makes c = 3 - that value integral.
     With m = 2k - a (so b = m/2) and p/q = 32 a A_X in lowest terms,
     4 A_X - b^2/(2a) = (p - q m^2) / (8 a q), so the test runs on integers and
-    Fractions are built only for what the states and the kill list store.
-    Killed candidates go to `killed` as (b, defect).
+    Fractions are built only for the surviving states.  Killed candidates go
+    to `killed` as integers (m, num, den): b = m/2 and the defect is num/den,
+    not reduced (den = 8 a q > 0).
     """
     A_X = Q(A_X)
     beta = sqrt_rational(8 * a * A_X)
@@ -147,7 +153,7 @@ def gamma_search(a: int, A_X: Q, killed: Optional[list] = None) -> list[Classifi
                 ClassifierState(a=a, A_X=A_X, beta=beta, gamma=gamma, b=b, c=Q(3 - num // den))
             )
         elif killed is not None:
-            killed.append((Q(m, 2), Q(num, den)))
+            killed.append((m, num, den))
     return states
 
 
@@ -165,19 +171,35 @@ def admissible_qlm(a: int, A_X: Q, killed: Optional[list] = None) -> dict[int, Q
     integer-valuedness test; parity EVEN means only the even model survives.
     Candidates range over 1 <= q <= floor(sqrt(3a)): any admitted q forces
     c_X = 3a/q^2 >= 3 through the leading-coefficient integrality, so the
-    window is generous.  Kills go to `killed` as (q, parity, witness T).
+    window is generous.  Kills go to `killed` as (q, parity, reason text).
+
+    The test runs on integers.  With r = sqrt(2 a A_X) = rn/rd, computed once,
+    P_RR(T) = 3 + (r/q) T + (a/(8 q^2)) T^2, and D = 8 q^2 rd clears every
+    denominator.  A quadratic is integer valued on a progression iff its
+    values at the first three points are integers (the finite-difference
+    criterion of `rationals.integrality_witness`), so the odd model tests
+    T = 0, 1, 2 and the even model T = 0, 2, 4, each as D * P_RR(T) % D.
+    An irrational r kills every q.  Fractions (c_X and `rr_from_cx_ax`) are
+    built only for admitted q.
     """
     A_X = Q(A_X)
+    top = isqrt(3 * a)
     out: dict[int, QOption] = {}
-    for q in range(1, isqrt(3 * a) + 1):
-        c_X = Q(3 * a, q * q)
-        rr = rr_from_cx_ax(c_X, A_X)
-        if isinstance(rr, IrrationalCoefficient):
-            if killed is not None:
-                killed.append((q, "ANY", f"sqrt({rr.non_square}) irrational"))
-            continue
-        odd_w = integrality_witness(rr.base, 1, 0)
-        even_w = None if odd_w is None else integrality_witness(rr.base, 2, 0)
+    two_a_ax = 2 * a * A_X
+    r = sqrt_rational(two_a_ax)
+    if r is None:
+        # sqrt(2 c_X A_X / 3) = sqrt(2 a A_X) / q is irrational for every q
+        if killed is not None:
+            sn, sd = two_a_ax.numerator, two_a_ax.denominator
+            for q in range(1, top + 1):
+                killed.append((q, "ANY", f"sqrt({ratio_to_string(sn, sd * q * q)}) irrational"))
+        return out
+    rn, rd = r.numerator, r.denominator
+    for q in range(1, top + 1):
+        # D * P_RR(T) = 3 D + lin * T + quad * T^2
+        den, lin, quad = 8 * q * q * rd, 8 * q * rn, a * rd
+        odd_w = _first_non_integral((0, 1, 2), lin, quad, den)
+        even_w = None if odd_w is None else _first_non_integral((0, 2, 4), lin, quad, den)
         if even_w is not None:
             if killed is not None:
                 killed.append((q, "EVEN", f"P_RR({even_w}) not an integer"))
@@ -186,8 +208,17 @@ def admissible_qlm(a: int, A_X: Q, killed: Optional[list] = None) -> dict[int, Q
         if odd_w is not None and killed is not None:
             # every even value is integral, so the first non-integral value is at an odd T
             killed.append((q, "ODD", f"P_RR({odd_w}) not an integer"))
-        out[q] = QOption(q_lm=q, c_X=c_X, parity=parity, rr=rr)
+        c_X = Q(3 * a, q * q)
+        out[q] = QOption(q_lm=q, c_X=c_X, parity=parity, rr=rr_from_cx_ax(c_X, A_X))
     return out
+
+
+def _first_non_integral(points, lin: int, quad: int, den: int) -> Optional[int]:
+    """The first T in `points` with (lin*T + quad*T^2)/den not an integer, or None."""
+    for t in points:
+        if (lin + quad * t) * t % den:
+            return t
+    return None
 
 
 def load_betti_table(path: Optional[str] = None) -> list[dict]:
@@ -261,7 +292,9 @@ def classify(
 
     q-admissibility and the Betti options depend on (a, A_X) only, so each is
     computed once per A_X; the trace still lists the q-kills once per state,
-    each entry carrying that state's gamma.
+    each entry carrying that state's gamma.  The trace text is written from
+    the integer kill lists; the strings of A_X and gamma are formatted once
+    per A_X and per state.
     """
     if a < 1:
         raise ValueError("a must be a positive integer")
@@ -298,17 +331,20 @@ def classify(
     solutions: list[Solution] = []
     killed_even_b = False
     for ax in ax_values:
+        ax_s = str(ax)
         gamma_kills: list = []
         states = gamma_search(a, ax, killed=gamma_kills)
-        for b, defect in gamma_kills:
-            if b.denominator == 1 and b.numerator % 2 == 0:
+        for m, num, den in gamma_kills:
+            # b = m/2 is an even integer iff 4 | m
+            if m % 4 == 0:
                 killed_even_b = True
+            b_s = str(m // 2) if m % 2 == 0 else f"{m}/2"
             trace.append(
                 TraceEntry(
                     stage="gamma_search",
-                    candidate=f"A_X={ax}, b={b}",
+                    candidate=f"A_X={ax_s}, b={b_s}",
                     constraint="4*A_X - b^2/(2a) must be an integer",
-                    value=f"{defect}",
+                    value=ratio_to_string(num, den),
                 )
             )
         if not states:
@@ -319,11 +355,12 @@ def classify(
         if admitted:
             in_table, builtin_only = map(tuple, betti_options_for(ax, betti_table))
         for state in states:
+            head = f"A_X={ax_s}, gamma={state.gamma}"
             for q, parity, reason in q_kills:
                 trace.append(
                     TraceEntry(
                         stage="admissible_qlm",
-                        candidate=f"A_X={ax}, gamma={state.gamma}, q={q}, parity={parity}",
+                        candidate=f"{head}, q={q}, parity={parity}",
                         constraint="P_RR must be integer valued on the value model",
                         value=reason,
                     )
@@ -332,7 +369,7 @@ def classify(
                 trace.append(
                     TraceEntry(
                         stage="admissible_qlm",
-                        candidate=f"A_X={ax}, gamma={state.gamma}",
+                        candidate=head,
                         constraint="at least one admissible q(l, m)",
                         value="none",
                     )

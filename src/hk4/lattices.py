@@ -143,7 +143,8 @@ def prime_exceptional_scan() -> dict:
     """
     window = 10
     found = []
-    rejected = []
+    # the report keeps the first `sample` rejections, so only those get their message
+    sample, rejected = 6, []
     basis = ((1, 0), (0, 1))
     for t in range(-window, window + 1):
         for u in range(-window, window + 1):
@@ -152,14 +153,16 @@ def prime_exceptional_scan() -> dict:
             if qe >= 0:
                 continue
             if not is_primitive(v):
-                rejected.append((v, "not primitive"))
+                if len(rejected) < sample:
+                    rejected.append((v, "not primitive"))
                 continue
             # dual form values -2 q(E, b)/q(E) on the basis, integral iff q(E) | 2 q(E, b)
             ok = True
             for b in basis:
                 twice = -2 * U.pair(v, b)
                 if twice % qe:
-                    rejected.append((v, f"dual form value {Q(twice, qe)} on basis not integral"))
+                    if len(rejected) < sample:
+                        rejected.append((v, f"dual form value {Q(twice, qe)} on basis not integral"))
                     ok = False
                     break
             if ok:
@@ -171,8 +174,7 @@ def prime_exceptional_scan() -> dict:
             "integrality of -2 q(E,.)/q(E) on {l, m} gives 1/t, 1/u in Z, "
             "hence |t| = |u| = 1, and q(E) < 0 forces t = -u"
         ),
-        # keep only a small deterministic sample of rejections for the report
-        "rejected_sample": rejected[:6],
+        "rejected_sample": rejected,
     }
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 from typing import Optional
 
 Q = Fraction  # the only scalar type in the engine
@@ -27,6 +27,15 @@ def rational_from_string(s: str) -> Q:
 def rational_to_string(x) -> str:
     """Serialize exactly: "p/q", or "p" when the denominator is 1."""
     return str(Q(x))
+
+
+def ratio_to_string(num: int, den: int) -> str:
+    """``str(Q(num, den))`` for integers with den > 0, reduced by one gcd, no Fraction built."""
+    if den <= 0:
+        raise ValueError("ratio_to_string requires a positive denominator")
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def is_perfect_square(n: int) -> bool:

@@ -2,9 +2,10 @@
 
 import hashlib
 import math
+from math import isqrt
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hk4 import classifier
@@ -22,8 +23,8 @@ from hk4.classifier import (
     squarefree_a_filter,
 )
 from hk4.cli import case_report_json
-from hk4.fujiki import ADMISSIBLE_AX, betti_profile
-from hk4.rationals import Q, is_integer, sqrt_rational
+from hk4.fujiki import ADMISSIBLE_AX, IrrationalCoefficient, betti_profile, rr_from_cx_ax
+from hk4.rationals import Q, integrality_witness, is_integer, sqrt_rational
 from hk4.report import dumps_canonical
 
 #: a <= 3000 that pass the sqrt gate, the only ones with a b-window to scan.
@@ -49,6 +50,37 @@ def reference_gamma_search(a, A_X):
         else:
             killed.append((b, defect))
     return states, killed
+
+
+def as_fractions(killed):
+    """The integer b-window kills (m, num, den) as (b, defect) = (m/2, num/den)."""
+    assert all(type(x) is int for triple in killed for x in triple)
+    return [(Q(m, 2), Q(num, den)) for m, num, den in killed]
+
+
+def reference_admissible_qlm(a, A_X):
+    """Independent cross-check: q-admissibility in Fraction arithmetic.
+
+    Builds P_RR per q with `rr_from_cx_ax` and finds the first non-integral
+    value of each model with `integrality_witness`.  Returns
+    ({q: (c_X, parity, rr)}, [(q, parity, reason)]).
+    """
+    out, killed = {}, []
+    for q in range(1, isqrt(3 * a) + 1):
+        c_X = Q(3 * a, q * q)
+        rr = rr_from_cx_ax(c_X, A_X)
+        if isinstance(rr, IrrationalCoefficient):
+            killed.append((q, "ANY", f"sqrt({rr.non_square}) irrational"))
+            continue
+        odd_w = integrality_witness(rr.base, 1, 0)
+        even_w = None if odd_w is None else integrality_witness(rr.base, 2, 0)
+        if even_w is not None:
+            killed.append((q, "EVEN", f"P_RR({even_w}) not an integer"))
+            continue
+        if odd_w is not None:
+            killed.append((q, "ODD", f"P_RR({odd_w}) not an integer"))
+        out[q] = (c_X, UNCONSTRAINED if odd_w is None else EVEN, rr)
+    return out, killed
 
 
 def reference_betti_candidates(A_X):
@@ -99,7 +131,7 @@ class TestGammaSearch:
         killed = []
         states = gamma_search(1, Q(8, 9), killed=killed)
         assert states == []
-        assert killed == [(Q(5, 2), Q(31, 72))]
+        assert as_fractions(killed) == [(Q(5, 2), Q(31, 72))]
 
     def test_a4_two_states(self):
         states = gamma_search(4, Q(25, 32))
@@ -136,8 +168,7 @@ class TestGammaSearch:
             states = gamma_search(a, ax, killed=killed)
             ref_states, ref_killed = reference_gamma_search(a, ax)
             assert [(s.b, s.c, s.gamma) for s in states] == ref_states
-            assert killed == ref_killed
-            assert all(type(x) is Q for pair in killed for x in pair)
+            assert as_fractions(killed) == ref_killed
 
 
 class TestAdmissibleQlm:
@@ -162,6 +193,48 @@ class TestAdmissibleQlm:
         killed = []
         admissible_qlm(1, Q(25, 32), killed=killed)
         assert any(q == 1 and parity == "ODD" and "P_RR(" in why for q, parity, why in killed)
+
+    @staticmethod
+    def assert_matches_reference(a, ax):
+        killed = []
+        opts = admissible_qlm(a, ax, killed=killed)
+        ref_opts, ref_killed = reference_admissible_qlm(a, ax)
+        assert {q: (o.c_X, o.parity, o.rr) for q, o in opts.items()} == ref_opts
+        assert all(o.q_lm == q for q, o in opts.items())
+        assert killed == ref_killed
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(GATED_A))
+    def test_integer_test_matches_fraction_reference(self, a):
+        for ax in sqrt_gate(a):
+            self.assert_matches_reference(a, ax)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 3000), st.sampled_from(ADMISSIBLE_AX))
+    @example(1, Q(241, 288))
+    @example(2, Q(25, 32))
+    def test_irrational_root_matches_fraction_reference(self, a, ax):
+        # most (a, A_X) fail the sqrt gate, so every q is killed as ANY
+        if sqrt_rational(2 * a * ax) is None:
+            killed = []
+            assert admissible_qlm(a, ax, killed=killed) == {}
+            assert [(q, parity) for q, parity, _ in killed] == [
+                (q, "ANY") for q in range(1, isqrt(3 * a) + 1)
+            ]
+        self.assert_matches_reference(a, ax)
+
+    def test_rr_is_built_only_for_admitted_q(self, monkeypatch):
+        built = []
+
+        def counted(c_X, A_X):
+            built.append(c_X)
+            return rr_from_cx_ax(c_X, A_X)
+
+        monkeypatch.setattr(classifier, "rr_from_cx_ax", counted)
+        for a, ax in ((1, Q(25, 32)), (4, Q(25, 32)), (36, Q(25, 32)), (1000, Q(8, 9))):
+            built.clear()
+            opts = admissible_qlm(a, ax)
+            assert built == [opts[q].c_X for q in sorted(opts)]
 
     def test_admitted_even_options_take_integer_values_on_even_grid(self):
         for a, ax in ((1, Q(25, 32)), (3, Q(27, 32)), (4, Q(25, 32))):

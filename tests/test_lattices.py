@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hk4 import lattices
 from hk4.lattices import (
     U,
     U2,
@@ -219,6 +220,17 @@ class TestPrimeExceptionalIntegerTest:
             "rejected_sample": sample,
         }
         assert any("dual form value" in reason for _, reason in sample)
+
+    def test_only_the_kept_rejections_are_formatted(self, monkeypatch):
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return Q(*args)
+
+        monkeypatch.setattr(lattices, "Q", counted)
+        sample = prime_exceptional_scan()["rejected_sample"]
+        assert len(built) == sum("dual form value" in reason for _, reason in sample) == 2
 
 
 class TestCones:

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hk4.rationals import (
@@ -18,6 +18,7 @@ from hk4.rationals import (
     linear_poly,
     rational_from_string,
     rational_to_string,
+    ratio_to_string,
     sqrt_rational,
     squarefree_part,
 )
@@ -109,6 +110,18 @@ class TestSerialization:
     @given(rationals)
     def test_round_trip(self, x):
         assert rational_from_string(rational_to_string(x)) == x
+
+    @given(st.integers(-10**30, 10**30), st.integers(1, 10**12))
+    @example(0, 7)
+    @example(-12, 8)
+    @example(12, 1)
+    def test_ratio_string_is_the_fraction_string(self, num, den):
+        assert ratio_to_string(num, den) == str(Q(num, den))
+
+    @pytest.mark.parametrize("den", [0, -3])
+    def test_ratio_string_rejects_nonpositive_denominator(self, den):
+        with pytest.raises(ValueError):
+            ratio_to_string(1, den)
 
     @pytest.mark.parametrize("text", ["abc", "1/0", "3/00", "1.5", "1e9999999", " 3", "3/-4", "", "/2"])
     def test_rejects_anything_but_p_or_p_over_q(self, text):
