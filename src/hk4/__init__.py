@@ -7,7 +7,3 @@ Hodge classes and the UNSAT certificates), ledger (Euler-characteristic and
 section-count bookkeeping), report (canonical JSON serialization), cli (the
 hk4 command).
 """
-
-from .rationals import Q, RatPoly, binom, integer_valued_on, sqrt_rational
-
-__all__ = ["Q", "RatPoly", "binom", "integer_valued_on", "sqrt_rational"]

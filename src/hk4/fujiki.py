@@ -2,25 +2,22 @@
 
 For a hyper-Kahler manifold of dimension 2n the top self-intersection of a
 degree-2 class is c_X * q(alpha)^n for a positive rational constant c_X; this
-module implements that relation, its polarization, the dimension-4 four-class
-identity, the degree-n Riemann-Roch polynomial with its three structural
-properties (constant term n+1, leading coefficient c_X/(2n)!, positive
-coefficients), and the Betti/Chern constraint arithmetic built on
-A_X = (7 c2^2 - 4 c4)/5760.
+module implements the fiber degree a that relation gives an isotropic pair
+(l, m), the dimension-4 four-class identity, the degree-n Riemann-Roch
+polynomial (the n = 2 form from (c_X, A_X) and the fibration form), and the
+Betti/Chern constraint arithmetic built on A_X = (7 c2^2 - 4 c4)/5760.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import factorial
-from typing import Union
 
 from .lattices import QuadLattice
 from .rationals import (
     Q,
     RatPoly,
     binom_poly,
-    divisors,
     is_integer,
     linear_poly,
     sqrt_rational,
@@ -33,20 +30,6 @@ ADMISSIBLE_288AX: tuple[int, ...] = (225,) + tuple(range(240, 263))
 
 #: The admissible A_X values themselves, N/288 for N in ADMISSIBLE_288AX.
 ADMISSIBLE_AX: tuple[Q, ...] = tuple(Q(n, 288) for n in ADMISSIBLE_288AX)
-
-
-def fujiki_degree(n: int, c_X, q_value) -> Q:
-    """Top self-intersection: integral of alpha^(2n) = c_X * q(alpha)^n."""
-    return Q(c_X) * Q(q_value) ** n
-
-
-def polarized_pairing_n(n: int, c_X, q_lm) -> Q:
-    """The mixed degree integral of l^n m^n for isotropic l.
-
-    Polarizing the Fujiki relation at q(l) = 0 gives
-    (1/2^n) binom(2n, n) * integral(l^n m^n) = c_X q(l, m)^n.
-    """
-    return Q(c_X) * Q(q_lm) ** n * Q(2**n * factorial(n) ** 2, factorial(2 * n))
 
 
 def a_from_fujiki(n: int, c_X, q_lm) -> Q:
@@ -72,9 +55,8 @@ def fujiki4_pairing(c_X, lattice: QuadLattice, a1, a2, a3, a4) -> Q:
 class RRPolynomial:
     """Degree-n Riemann-Roch polynomial in the degree-2 quadratic invariant T.
 
-    chi(X, L) = P(q(c1(L))).  Structural properties checked by
-    :meth:`violations`: constant term n+1 (= chi(O_X)), leading coefficient
-    c_X/(2n)!, and positivity of every coefficient.
+    chi(X, L) = P(q(c1(L))); for a hyper-Kahler X, P has constant term n+1
+    (= chi(O_X)), leading coefficient c_X/(2n)! and positive coefficients.
     """
 
     base: RatPoly
@@ -88,38 +70,21 @@ class RRPolynomial:
     def __call__(self, t) -> Q:
         return self.base(Q(t))
 
-    def violations(self) -> tuple[str, ...]:
-        out = []
-        if self.base.degree != self.n:
-            out.append(f"degree {self.base.degree} != n = {self.n}")
-        if self.base.coefficient(0) != self.n + 1:
-            out.append(f"constant term {self.base.coefficient(0)} != n+1 = {self.n + 1}")
-        if any(self.base.coefficient(k) <= 0 for k in range(self.n + 1)):
-            out.append("not all coefficients are positive")
-        return tuple(out)
-
     def pretty(self) -> str:
         return self.base.pretty("T")
 
 
-@dataclass(frozen=True)
-class IrrationalCoefficient:
-    """Witness that the linear RR coefficient sqrt(2 c_X A_X / 3) is irrational.
+def rr_from_cx_ax(c_X, A_X) -> RRPolynomial:
+    """n = 2 Riemann-Roch polynomial (c_X/24) T^2 + sqrt(2 c_X A_X/3) T + 3.
 
-    Carries the non-square rational under the root; this is itself a
-    classifier signal (rationality of sqrt(2 a A_X) is forced).
+    Raises ValueError when 2 c_X A_X/3 is not a rational square; the
+    classifier calls this only for admitted q, where it is one.
     """
-
-    non_square: Q
-
-
-def rr_from_cx_ax(c_X, A_X) -> Union[RRPolynomial, IrrationalCoefficient]:
-    """n = 2 Riemann-Roch polynomial (c_X/24) T^2 + sqrt(2 c_X A_X/3) T + 3."""
     c_X, A_X = Q(c_X), Q(A_X)
     mid_sq = 2 * c_X * A_X / 3
     mid = sqrt_rational(mid_sq)
     if mid is None:
-        return IrrationalCoefficient(non_square=mid_sq)
+        raise ValueError(f"sqrt({mid_sq}) is irrational: no rational RR polynomial")
     return RRPolynomial(base=RatPoly((Q(3), mid, c_X / 24)), n=2)
 
 
@@ -133,28 +98,6 @@ def rr_lagrangian_form(n: int, d: int, q_lm: int, q_m: int) -> RRPolynomial:
         raise ValueError("q(l, m) must be positive")
     x = linear_poly(Q(1, 2 * q_lm), Q(d + n) - Q(q_m, 2 * q_lm))
     return RRPolynomial(base=binom_poly(x, n), n=n)
-
-
-def rr_constant_solutions(n: int) -> frozenset[Q]:
-    """Rational solutions of binom(x + n, n) = n + 1.
-
-    Equivalent to the monic integral equation prod_{i=1..n} (x+i) = (n+1)!,
-    so every rational solution is an integer dividing the constant term
-    n! - (n+1)! = -n*n! of the shifted polynomial; the scan over those
-    divisors is exhaustive.  Returns {1} for n odd and {1, -n-2} for n even.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    target = factorial(n + 1)
-    poly = RatPoly.constant(Q(1))
-    for i in range(1, n + 1):
-        poly = poly * linear_poly(1, i)
-    sols = set()
-    for dv in divisors(factorial(n) - target):
-        for x in (Q(dv), Q(-dv)):
-            if poly(x) == target:
-                sols.add(x)
-    return frozenset(sols)
 
 
 @dataclass(frozen=True)

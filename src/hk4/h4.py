@@ -85,7 +85,6 @@ class H4Class:
 L2 = H4Class(l2=1)
 LM = H4Class(lm=1)
 M2 = H4Class(m2=1)
-QDUAL = H4Class(qdual=1)
 
 #: The unknown w of the contracted-surface and splitting refutations.
 W = RatPoly((Q(0), Q(1)))

@@ -60,10 +60,6 @@ class QuadLattice:
         """The quadratic form q(v) = v^T G v."""
         return self.pair(v, v)
 
-    def is_even(self) -> bool:
-        """True iff q takes only even values, i.e. all diagonal entries are even."""
-        return all(self.gram[i][i] % 2 == 0 for i in range(self.rank))
-
     @staticmethod
     def from_json(data: dict) -> "QuadLattice":
         gram = data["gram"]
@@ -200,17 +196,3 @@ def cone_report(t0: int) -> dict:
         "case": "C1" if t0 == 0 else "C2",
         "duality_products": [U.pair(v, w) for v in mov for w in psef],
     }
-
-
-def saturation_check(a: int, n: int) -> bool:
-    """True iff no integer d >= 2 has d^n dividing a (then Zl + Zm is saturated)."""
-    if a < 1 or n < 1:
-        raise ValueError("saturation_check requires a >= 1 and n >= 1")
-    if n == 1:
-        return a == 1
-    d = 2
-    while d**n <= a:
-        if a % (d**n) == 0:
-            return False
-        d += 1
-    return True

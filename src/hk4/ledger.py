@@ -6,9 +6,9 @@ The ledger stores these Euler characteristics together with the hypothesis
 under which each one is promoted to an h^0 (the promotions have genuinely
 different sources: ampleness, big-and-nef, or a pushforward argument, and the
 engine keeps them apart).  On top of the ledger sit the Koszul and
-Castelnuovo section counts, the Segre-relation rank certificate, the Hopf
-multiplication-chain bound, the cohomology table of twisted forms on the
-plane, and the Mukai-vector arithmetic of the contracted K3 surface.
+Castelnuovo section counts, the Segre-relation rank certificate, the
+cohomology table of twisted forms on the plane, and the Mukai-vector
+arithmetic of the contracted K3 surface.
 """
 
 from __future__ import annotations
@@ -82,8 +82,8 @@ def to_markdown(table: dict) -> str:
     return "\n".join(lines)
 
 
-def koszul_counts(h0_L: int = 1, h0_M: int = 1) -> dict:
-    """Koszul/Castelnuovo bookkeeping; defaults sit on the h0(L)+h0(M) = 2 branch.
+def koszul_counts() -> dict:
+    """Koszul/Castelnuovo bookkeeping on the h0(L) = h0(M) = 1 branch.
 
     The section counts of the two-divisor intersection surface come from
     Koszul resolutions.  The h^1 vanishing of the twisted ideal sheaf is an
@@ -92,6 +92,7 @@ def koszul_counts(h0_L: int = 1, h0_M: int = 1) -> dict:
     the Castelnuovo bound binom(2+1, 2) = 3; that contradiction is the
     content of the final flag.
     """
+    h0_L = h0_M = 1
     chi11, chi21, chi12, chi22 = (int(RR(U.q(v))) for v in ((1, 1), (2, 1), (1, 2), (2, 2)))
     ideal_lm = h0_L + h0_M - 1
     ideal_l2m2 = chi21 + chi12 - chi11
@@ -154,11 +155,6 @@ def _det_fraction_free(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-#: Exact determinant of the 4x4 relation matrix, frozen after computing it
-#: with two independent methods (cofactor expansion and Bareiss elimination).
-SEGRE_DET_GOLDEN = 70785
-
-
 def segre_certificate() -> dict:
     """Four independent linear relations kill the ample-power intersection numbers.
 
@@ -178,40 +174,6 @@ def segre_certificate() -> dict:
         "rank": 4 if d_cof != 0 else 3,
         "det_cofactor": d_cof,
         "det_fraction_free": d_ff,
-    }
-
-
-def hopf_chain_bound(start: int, steps: int, cap: int) -> bool:
-    """True iff a chain of multiplication maps must have an equality step.
-
-    Each strict step grows the dimension by at least 2 (the Hopf bound gives
-    >= 1 with the equality case characterized), so if start + 2*steps > cap
-    some step is forced to be an equality.
-    """
-    if start < 1 or steps < 1:
-        raise ValueError("hopf_chain_bound requires start >= 1 and steps >= 1")
-    return start + 2 * steps > cap
-
-
-def monomial_section_bound(h0: int, k: int) -> dict:
-    """Pencil-power bound on h^0(L^k) against the 3-dimensional target space.
-
-    The k+1 monomials sigma^k, ..., tau^k are independent in H^0(L^k).
-    With h^0(L^(k_L)) = 3 this excludes k >= 3 outright; k = 2 passes the
-    dimension count but forces the induced map to land on a conic, which
-    contradicts surjectivity onto the plane, leaving k_L = 1.  Returns
-    ``{h0, k, lower_bound, admissible, conic_contradiction}``.
-    """
-    if h0 < 2 or k < 1:
-        raise ValueError("monomial_section_bound requires h0 >= 2 and k >= 1")
-    lb = k + 1
-    admissible = lb <= 3
-    return {
-        "h0": h0,
-        "k": k,
-        "lower_bound": lb,  # k + 1 monomials in two independent sections
-        "admissible": admissible,  # lower bound fits in h^0(L^(k_L)) = 3
-        "conic_contradiction": admissible and k == 2,  # k = 2 admitted, but the image is a conic
     }
 
 
@@ -273,10 +235,6 @@ class MukaiVector:
             - self.rank * other.s
             - other.rank * self.s
         )
-
-    @property
-    def is_spherical(self) -> bool:
-        return self.pairing(self) == -2
 
     def chi(self) -> int:
         """chi(Sigma, F) = rank + s for a sheaf with this Mukai vector."""

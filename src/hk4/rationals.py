@@ -18,15 +18,10 @@ Q = Fraction  # the only scalar type in the engine
 
 
 def rational_from_string(s: str) -> Q:
-    """Parse "p" or "p/q" (signed, q != 0), the forms `rational_to_string` writes."""
+    """Parse "p" or "p/q" (signed, q != 0), the forms ``str(Q(x))`` writes."""
     if not re.fullmatch(r"[+-]?[0-9]+(/0*[1-9][0-9]*)?", s):
         raise ValueError(f'expected "p" or "p/q" with q != 0, got {s!r}')
     return Q(s)
-
-
-def rational_to_string(x) -> str:
-    """Serialize exactly: "p/q", or "p" when the denominator is 1."""
-    return str(Q(x))
 
 
 def ratio_to_string(num: int, den: int) -> str:

@@ -23,7 +23,7 @@ from hk4.classifier import (
     squarefree_a_filter,
 )
 from hk4.cli import case_report_json
-from hk4.fujiki import ADMISSIBLE_AX, IrrationalCoefficient, betti_profile, rr_from_cx_ax
+from hk4.fujiki import ADMISSIBLE_AX, betti_profile, rr_from_cx_ax
 from hk4.rationals import Q, integrality_witness, is_integer, sqrt_rational
 from hk4.report import dumps_canonical
 
@@ -61,17 +61,19 @@ def as_fractions(killed):
 def reference_admissible_qlm(a, A_X):
     """Independent cross-check: q-admissibility in Fraction arithmetic.
 
-    Builds P_RR per q with `rr_from_cx_ax` and finds the first non-integral
+    Kills q when the linear coefficient sqrt(2 c_X A_X/3) is irrational,
+    else builds P_RR with `rr_from_cx_ax` and finds the first non-integral
     value of each model with `integrality_witness`.  Returns
     ({q: (c_X, parity, rr)}, [(q, parity, reason)]).
     """
     out, killed = {}, []
     for q in range(1, isqrt(3 * a) + 1):
         c_X = Q(3 * a, q * q)
-        rr = rr_from_cx_ax(c_X, A_X)
-        if isinstance(rr, IrrationalCoefficient):
-            killed.append((q, "ANY", f"sqrt({rr.non_square}) irrational"))
+        mid_sq = 2 * c_X * A_X / 3
+        if sqrt_rational(mid_sq) is None:
+            killed.append((q, "ANY", f"sqrt({mid_sq}) irrational"))
             continue
+        rr = rr_from_cx_ax(c_X, A_X)
         odd_w = integrality_witness(rr.base, 1, 0)
         even_w = None if odd_w is None else integrality_witness(rr.base, 2, 0)
         if even_w is not None:

@@ -20,9 +20,10 @@ from hk4.cli import CERTIFICATES, main, run_certificate, run_scenario, run_suite
 from hk4.report import dumps_canonical, to_jsonable
 
 
-def run_cli(*args):
+def run_cli(*args, python_flags=()):
     return subprocess.run(
-        [sys.executable, "-m", "hk4", *args], capture_output=True, text=True, timeout=60
+        [sys.executable, *python_flags, "-m", "hk4", *args], capture_output=True, text=True,
+        timeout=60,
     )
 
 
@@ -253,6 +254,14 @@ class TestReportCommand:
         run_cli("report", "--json", str(a))
         run_cli("report", "--json", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    def test_same_bytes_and_verdicts_under_python_O(self, tmp_path):
+        # `python -O` strips assert statements, so no verdict may depend on one
+        res = run_cli("report", "--json", str(tmp_path / "report.json"), python_flags=["-O"])
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(res.stdout.encode()).hexdigest() == REPORT_SHA256
+        res = run_cli("verify", "all", python_flags=["-O"])
+        assert res.returncode == 0, res.stderr
 
 
 class TestMainInProcess:
@@ -557,14 +566,12 @@ class TestClosedStdout:
         ["-m", "hk4", "classify", "--a", "1000"],
         ["-m", "hk4", "report"],
         [os.path.join(SCRIPTS, "classification_table.py")],
-        [os.path.join(SCRIPTS, "run_certification.py"), "REPORT"],
         [os.path.join(SCRIPTS, "scenario_examples.py"), "SCENARIOS"],
     ])
     def test_exit_141_without_traceback(self, tmp_path, argv):
         import hk4
 
-        argv = [str(tmp_path / "report.json") if a == "REPORT"
-                else str(tmp_path / "scenarios") if a == "SCENARIOS" else a for a in argv]
+        argv = [str(tmp_path / "scenarios") if a == "SCENARIOS" else a for a in argv]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hk4.__file__)))
         read_end, write_end = os.pipe()
         os.close(read_end)  # closed before the child writes anything

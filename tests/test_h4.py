@@ -15,7 +15,6 @@ from hk4.h4 import (
     L2,
     M2,
     OMEGA,
-    QDUAL,
     TWIST,
     W,
     H4Class,
@@ -35,6 +34,7 @@ from hk4.lattices import U, U2
 from hk4.rationals import Q, RatPoly, divisors, is_integer
 
 small_rats = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+QDUAL = H4Class(qdual=1)
 
 
 def h4_classes():

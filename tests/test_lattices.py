@@ -16,7 +16,6 @@ from hk4.lattices import (
     is_primitive,
     prime_exceptional_scan,
     reflection_about,
-    saturation_check,
 )
 from hk4.rationals import Q
 
@@ -34,10 +33,6 @@ class TestQuadLattice:
         for v in itertools.product(rng, rng):
             for w in itertools.product(rng, rng):
                 assert U.pair(v, w) == U.pair(w, v)
-
-    def test_even(self):
-        assert U.is_even()
-        assert not QuadLattice(((1, 0), (0, 2))).is_even()
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
@@ -257,17 +252,3 @@ class TestCones:
     def test_rejects_bad_t0(self):
         with pytest.raises(ValueError):
             cone_report(2)
-
-
-class TestSaturation:
-    def test_examples(self):
-        assert saturation_check(1, 2)
-        assert not saturation_check(8, 2)
-        assert not saturation_check(12, 2)
-        assert saturation_check(6, 2)
-
-    def test_against_divisor_scan(self):
-        for a in range(1, 200):
-            for n in (2, 3):
-                brute = all(a % (d**n) for d in range(2, a + 1) if d**n <= a)
-                assert saturation_check(a, n) == brute

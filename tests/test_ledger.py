@@ -10,13 +10,10 @@ from hk4.lattices import U
 from hk4.ledger import (
     RR,
     MukaiVector,
-    SEGRE_DET_GOLDEN,
     bott_p2,
     chi_table,
-    hopf_chain_bound,
     k3_exceptional_checks,
     koszul_counts,
-    monomial_section_bound,
     mukai_solve,
     segre_certificate,
     segre_row,
@@ -82,10 +79,6 @@ class TestKoszul:
         assert rep["castelnuovo_max"] == comb(3, 2) == 3
         assert rep["contradiction"]
 
-    def test_general_inputs(self):
-        rep = koszul_counts(h0_L=3, h0_M=1)
-        assert rep["ideal_LM"] == 3
-
 
 class TestSegre:
     def test_displayed_rows(self):
@@ -96,7 +89,7 @@ class TestSegre:
 
     def test_certificate(self):
         sys_ = segre_certificate()
-        assert sys_["determinant"] == SEGRE_DET_GOLDEN == 70785
+        assert sys_["determinant"] == 70785
         assert sys_["det_cofactor"] == sys_["det_fraction_free"]
         assert sys_["rank"] == 4
 
@@ -136,27 +129,6 @@ class TestSegre:
                 assert pred == s_eh[i]
 
 
-class TestHopfChain:
-    def test_examples(self):
-        assert hopf_chain_bound(3, 3, 8)
-        assert not hopf_chain_bound(3, 3, 9)
-        assert hopf_chain_bound(3, 1, 4)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            hopf_chain_bound(0, 1, 5)
-
-
-class TestMonomialGate:
-    def test_examples(self):
-        g2 = monomial_section_bound(2, 2)
-        assert g2["lower_bound"] == 3 and g2["admissible"] and g2["conic_contradiction"]
-        g3 = monomial_section_bound(2, 3)
-        assert g3["lower_bound"] == 4 and not g3["admissible"]
-        g1 = monomial_section_bound(2, 1)
-        assert g1["lower_bound"] == 2 and g1["admissible"] and not g1["conic_contradiction"]
-
-
 class TestBott:
     def test_pinned_values(self):
         assert bott_p2(0, 1) == (3, 0, 0)
@@ -186,7 +158,8 @@ class TestMukai:
         vector = rep["vector"]
         assert (vector["rank"], vector["c1_coeff"], vector["s"]) == (2, 1, 1)
         assert rep["self_pairing"] == -2
-        assert MukaiVector(**vector).is_spherical
+        v = MukaiVector(**vector)
+        assert v.pairing(v) == -2  # spherical: the condition the mukai claim checks
         assert rep["chi_untwisted"] == 3 and rep["chi_twisted_down"] == 3
 
     def test_pairing_formula(self):

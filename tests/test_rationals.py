@@ -17,7 +17,6 @@ from hk4.rationals import (
     is_integer,
     linear_poly,
     rational_from_string,
-    rational_to_string,
     ratio_to_string,
     sqrt_rational,
     squarefree_part,
@@ -102,14 +101,12 @@ class TestFieldAxioms:
 
 class TestSerialization:
     def test_strings(self):
-        assert rational_to_string(Q(5, 4)) == "5/4"
-        assert rational_to_string(Q(-3, 1)) == "-3"
         assert rational_from_string("25/32") == Q(25, 32)
         assert rational_from_string("7") == 7
 
     @given(rationals)
     def test_round_trip(self, x):
-        assert rational_from_string(rational_to_string(x)) == x
+        assert rational_from_string(str(x)) == x
 
     @given(st.integers(-10**30, 10**30), st.integers(1, 10**12))
     @example(0, 7)

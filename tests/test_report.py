@@ -82,8 +82,9 @@ KEY = st.sampled_from([1, "1", True, "True", None, "None", 0, "0", Fraction(1, 2
 POLY = st.builds(RatPoly, st.lists(RATIONAL, max_size=4))
 RR = (st.builds(rr_lagrangian_form, st.integers(1, 4), st.integers(-2, 3), st.integers(1, 3),
                 st.integers(-3, 3))
-      | st.builds(lambda c, ax: rr_from_cx_ax(c, ax), st.sampled_from([3, 9, Fraction(1, 2)]),
-                  st.sampled_from([Fraction(25, 32), Fraction(27, 32), Fraction(3, 4)])))
+      | st.builds(lambda c_ax: rr_from_cx_ax(*c_ax),  # the pairs with a rational root
+                  st.sampled_from([(3, Fraction(25, 32)), (9, Fraction(27, 32)),
+                                   (Fraction(1, 2), Fraction(3, 4))])))
 ENGINE = (
     st.builds(TraceEntry, TEXT, TEXT, TEXT, TEXT)
     | st.builds(ClassifierState, st.integers(1, 50), RATIONAL, RATIONAL, RATIONAL, RATIONAL,

@@ -7,7 +7,7 @@ import pytest
 
 from hk4.classifier import gamma_search, sqrt_gate
 from hk4.h4 import lagrangian_plane_certificate
-from hk4.ledger import SEGRE_DET_GOLDEN, segre_certificate
+from hk4.ledger import segre_certificate
 from hk4.rationals import Q, sqrt_rational
 
 sp = pytest.importorskip("sympy")
@@ -52,7 +52,7 @@ def test_roots_of_the_plane_quadratic():
 def test_segre_determinant():
     cert = segre_certificate()
     det = sp.Matrix(cert["matrix"]).det()
-    assert det == cert["det_cofactor"] == cert["det_fraction_free"] == SEGRE_DET_GOLDEN == 70785
+    assert det == cert["det_cofactor"] == cert["det_fraction_free"] == 70785
 
 
 def _b_window_by_square_roots(a: int, A_X: Q) -> set:
