@@ -12,7 +12,8 @@ and P taking integer values on Z forces a/2 + b in Z, c in Z, and
 sqrt(2 a A_X), this makes the classification for each a a finite exact
 search.  The engine applies the constraints in a fixed order (sqrt gate,
 then the b-window scan, then admissibility of q(l, m)) and records every
-killed candidate in the trace.
+killed candidate in the trace; the later two stages take only an A_X that
+passed the gate, and raise ValueError on any other.
 
 Every decision runs on integers: the gate on a*N, the b-window on
 numerators over one denominator, q-admissibility on P_RR scaled by a
@@ -26,7 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from math import isqrt
 from types import MappingProxyType
@@ -71,10 +72,7 @@ class ClassifierState:
     b: Q
     c: Q
     #: P(k) = (a/2) k^2 + b k + c; integer valued on Z by construction.
-    value_poly: RatPoly = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "value_poly", RatPoly((self.c, self.b, Q(self.a, 2))))
+    value_poly: RatPoly
 
 
 @dataclass(frozen=True)
@@ -147,11 +145,9 @@ def gamma_search(a: int, A_X: Q, killed: Optional[list] = None) -> list[Classifi
     for m in range(2 * k0 - a, 2 * k0 + a, 2):
         num = p - q * m * m
         if num % den == 0:
-            b = Q(m, 2)
-            gamma = 2 * (b - beta) / a
-            states.append(
-                ClassifierState(a=a, A_X=A_X, beta=beta, gamma=gamma, b=b, c=Q(3 - num // den))
-            )
+            b, c = Q(m, 2), Q(3 - num // den)
+            states.append(ClassifierState(a=a, A_X=A_X, beta=beta, gamma=2 * (b - beta) / a, b=b,
+                                          c=c, value_poly=RatPoly((c, b, Q(a, 2)))))
         elif killed is not None:
             killed.append((m, num, den))
     return states
@@ -161,7 +157,8 @@ def admissible_qlm(a: int, A_X: Q, killed: Optional[list] = None) -> dict[int, Q
     """Decide which pairing values q = q(l, m) the value model admits.
 
     The answer depends on (a, A_X) only, not on the b-window state, so
-    `classify` calls this once per A_X that has states.
+    `classify` calls this once per A_X that has states.  Like `gamma_search`,
+    it raises ValueError unless A_X passed `sqrt_gate`.
 
     For each q, c_X = 3a/q^2 and the Riemann-Roch polynomial must take
     integer values on the set of values of the quadratic form; the engine
@@ -179,23 +176,15 @@ def admissible_qlm(a: int, A_X: Q, killed: Optional[list] = None) -> dict[int, Q
     values at the first three points are integers (the finite-difference
     criterion of `rationals.integrality_witness`), so the odd model tests
     T = 0, 1, 2 and the even model T = 0, 2, 4, each as D * P_RR(T) % D.
-    An irrational r kills every q.  Fractions (c_X and `rr_from_cx_ax`) are
-    built only for admitted q.
+    Fractions (c_X and `rr_from_cx_ax`) are built only for admitted q.
     """
     A_X = Q(A_X)
-    top = isqrt(3 * a)
-    out: dict[int, QOption] = {}
-    two_a_ax = 2 * a * A_X
-    r = sqrt_rational(two_a_ax)
+    r = sqrt_rational(2 * a * A_X)
     if r is None:
-        # sqrt(2 c_X A_X / 3) = sqrt(2 a A_X) / q is irrational for every q
-        if killed is not None:
-            sn, sd = two_a_ax.numerator, two_a_ax.denominator
-            for q in range(1, top + 1):
-                killed.append((q, "ANY", f"sqrt({ratio_to_string(sn, sd * q * q)}) irrational"))
-        return out
+        raise ValueError("admissible_qlm requires sqrt(2aA_X) rational; run sqrt_gate first")
     rn, rd = r.numerator, r.denominator
-    for q in range(1, top + 1):
+    out: dict[int, QOption] = {}
+    for q in range(1, isqrt(3 * a) + 1):
         # D * P_RR(T) = 3 D + lin * T + quad * T^2
         den, lin, quad = 8 * q * q * rd, 8 * q * rn, a * rd
         odd_w = _first_non_integral((0, 1, 2), lin, quad, den)
@@ -254,12 +243,10 @@ def _betti_grid() -> Mapping[Q, tuple[tuple[int, int, int], ...]]:
     grid: dict[Q, list[tuple[int, int, int]]] = {}
     for b2 in list(range(3, 9)) + [23]:
         for b3 in range(0, 4 * b2 + 17, 2):
-            try:
-                prof = betti_profile(b2, b3)
-            except ValueError:
-                continue
-            if not prof.violations:
-                grid.setdefault(prof.A_X, []).append(prof.triple)
+            # b4 = 10*b2 + 46 - b3 >= 6*b2 + 30 > 0, so betti_profile does not raise here
+            prof = betti_profile(b2, b3)
+            if not prof["violations"]:
+                grid.setdefault(prof["A_X"], []).append((b2, b3, prof["b4"]))
     return MappingProxyType({ax: tuple(triples) for ax, triples in grid.items()})
 
 

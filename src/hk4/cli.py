@@ -241,14 +241,12 @@ def _subset_diff(expected, computed, path="") -> list[str]:
     return diffs
 
 
-def run_certificate(name: str, expectations: Optional[dict] = None) -> dict:
+def run_certificate(name: str, expectations: dict) -> dict:
     """Run one certificate: it passes when its claim holds and no expected value differs.
 
-    ``expectations`` is the parsed expectations file; it is read when not given.
+    ``expectations`` is the parsed expectations file (``load_expectations()``).
     """
     computed = to_jsonable(CERTIFICATES[name]())
-    if expectations is None:
-        expectations = load_expectations()
     expected = expectations.get(name, {})
     diffs = _subset_diff(expected, computed, name)
     if diffs or computed["status"] not in ("PASS", "UNSAT"):

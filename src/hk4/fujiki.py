@@ -100,29 +100,13 @@ def rr_lagrangian_form(n: int, d: int, q_lm: int, q_m: int) -> RRPolynomial:
     return RRPolynomial(base=binom_poly(x, n), n=n)
 
 
-@dataclass(frozen=True)
-class BettiProfile:
+def betti_profile(b2: int, b3: int) -> dict:
     """Betti/Chern bookkeeping of a hyper-Kahler fourfold from (b2, b3).
 
     c4 = 3(4 b2 + 16 - b3); the topological Euler characteristic c4 equals
     2 + 2 b2 - 2 b3 + b4 (simply connected, Poincare duality), which fixes
-    b4; and A_X = (7 - c4/432)/8 with 288 A_X an integer.
-    """
-
-    b2: int
-    b3: int
-    b4: int
-    c4: int
-    A_X: Q
-    violations: tuple[str, ...]
-
-    @property
-    def triple(self) -> tuple[int, int, int]:
-        return (self.b2, self.b3, self.b4)
-
-
-def betti_profile(b2: int, b3: int) -> BettiProfile:
-    """Fill c4, b4, A_X from (b2, b3); reject negative b4, report violations.
+    b4; and A_X = (7 - c4/432)/8 with 288 A_X an integer.  Returns the keys
+    b2, b3, b4, c4, A_X and violations.
 
     Violations are reported rather than silently filtered so the gate stays
     auditable; only b4 < 0 (and malformed input) raise.
@@ -147,7 +131,7 @@ def betti_profile(b2: int, b3: int) -> BettiProfile:
     else:
         if not (Q(5, 6) <= A_X <= Q(131, 144)):
             violations.append(f"A_X = {A_X} outside [5/6, 131/144] on the low-rank branch")
-    return BettiProfile(b2=b2, b3=b3, b4=b4, c4=c4, A_X=A_X, violations=tuple(violations))
+    return {"b2": b2, "b3": b3, "b4": b4, "c4": c4, "A_X": A_X, "violations": violations}
 
 
 def guan_gate(t) -> frozenset[Q]:

@@ -5,12 +5,14 @@ rational is serialized in lowest terms as "p/q" (or "p"), and containers are
 converted to lists in a fixed order.  No decimal rendering happens here.
 
 Serialization is two steps, each with one job, and each value goes through
-each step once.  ``to_jsonable`` is the only place that knows engine types:
-it turns dataclasses, rationals, polynomials, sets and tuples into plain JSON
-values (dicts with string keys, lists, strings, integers, booleans and
-None).  Each command converts its payload where it builds it.
-``dumps_canonical`` writes plain JSON values and knows nothing else: anything
-else (a tuple, a rational, a float, an engine object) raises TypeError.
+each step once.  ``to_jsonable`` is the only place that knows engine types.
+It dispatches on the exact type, and its domain is what the commands emit:
+``str``, ``int``, ``bool``, ``None``, ``dict``, ``list``, ``tuple``,
+``Fraction``, ``RatPoly``, ``RRPolynomial`` and dataclass records.  Anything
+else (a set, a float, a subclass of a built-in type) raises TypeError.  Each
+command converts its payload where it builds it.  ``dumps_canonical`` writes
+plain JSON values and knows nothing else: anything else (a tuple, a rational,
+a float, a key that is not a ``str``, an engine object) raises TypeError.
 
 Byte contract: for plain JSON values ``plain``, ``dumps_canonical(plain)`` is
 exactly ``json.dumps(plain, sort_keys=True, indent=2) + "\\n"``, that is
@@ -33,59 +35,33 @@ from .rationals import RatPoly
 #: Types whose values are already JSON and are returned as they are.
 _LEAVES = frozenset({str, int, bool, type(None)})
 
-#: Field names per dataclass, filled the first time an instance reaches the
-#: dataclass branch of ``_to_jsonable_general``, so any type found here passed
-#: every check before it.
+#: Field names per dataclass record, filled when ``to_jsonable`` first meets the type.
 _FIELDS: dict[type, tuple[str, ...]] = {}
 
 
 def to_jsonable(obj):
-    """Plain JSON values for ``obj``; floats and unknown types raise TypeError.
-
-    The exact types met on every report are dispatched first; subclasses,
-    sets, polynomials and errors take the general ``isinstance`` path.
-    """
+    """Plain JSON values for ``obj``; a type outside the domain raises TypeError."""
     cls = type(obj)
     if cls in _LEAVES:
         return obj
     if cls is dict:
-        return {(k if type(k) is str else str(k)): (v if type(v) in _LEAVES else to_jsonable(v))
-                for k, v in obj.items()}
+        return {k: (v if type(v) in _LEAVES else to_jsonable(v)) for k, v in obj.items()}
     if cls is list or cls is tuple:
         return [x if type(x) in _LEAVES else to_jsonable(x) for x in obj]
     if cls is Fraction:
         return str(obj)
     names = _FIELDS.get(cls)
-    if names is not None:
-        return {name: (v if type(v := getattr(obj, name)) in _LEAVES else to_jsonable(v))
-                for name in names}
-    return _to_jsonable_general(obj)
-
-
-def _to_jsonable_general(obj):
-    """The ``isinstance`` chain: subclasses, polynomials, sets, a dataclass seen first, errors."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, Fraction):
-        return str(obj)
-    if isinstance(obj, RRPolynomial):
-        return {
-            "n": obj.n,
-            "coeffs": [str(c) for c in obj.base.coeffs],
-            "pretty": obj.pretty(),
-        }
-    if isinstance(obj, RatPoly):
-        return {"coeffs": [to_jsonable(c) for c in obj.coeffs], "pretty": obj.pretty()}
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        names = _FIELDS[type(obj)] = tuple(f.name for f in dataclasses.fields(obj))
-        return {name: to_jsonable(getattr(obj, name)) for name in names}
-    if isinstance(obj, dict):
-        return {str(k): to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (frozenset, set)):
-        return [to_jsonable(x) for x in sorted(obj)]
-    if isinstance(obj, (list, tuple)):
-        return [to_jsonable(x) for x in obj]
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    if names is None:
+        if cls is RatPoly:
+            return {"coeffs": [to_jsonable(c) for c in obj.coeffs], "pretty": obj.pretty()}
+        if cls is RRPolynomial:
+            return {"n": obj.n, "coeffs": [str(c) for c in obj.base.coeffs],
+                    "pretty": obj.pretty()}
+        if not dataclasses.is_dataclass(cls):
+            raise TypeError(f"cannot serialize {cls!r}")
+        names = _FIELDS[cls] = tuple(f.name for f in dataclasses.fields(cls))
+    return {name: (v if type(v := getattr(obj, name)) in _LEAVES else to_jsonable(v))
+            for name in names}
 
 
 def dumps_canonical(plain) -> str:
@@ -147,29 +123,28 @@ def _emit(value, out: list[str], newline: str) -> None:
 
 
 def _leaf(value) -> str:
-    """A JSON scalar: booleans, null, and subclasses of str and int."""
+    """A JSON scalar: null, a boolean, or (at the top level only) a str or an int."""
     if value is None:
         return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, str):
+    cls = type(value)
+    if cls is str:
         return _quote(value)
-    if isinstance(value, int):
+    if cls is int:
         return int.__repr__(value)
-    raise TypeError(f"not a JSON value: {type(value)!r}")
+    raise TypeError(f"not a JSON value: {cls!r}")
 
 
-def approx_decimal(x, places: int = 6) -> str:
+def approx_decimal(x) -> str:
     """Non-authoritative decimal rendering for the --decimal flag.
 
-    Computed by exact integer division and truncated; never used in any
-    verdict or serialized report.
+    Computed by exact integer division and truncated to 6 places; never used
+    in any verdict or serialized report.
     """
     f = Fraction(x)
     sign = "-" if f < 0 else ""
-    f = abs(f)
-    scaled = (f.numerator * 10**places) // f.denominator
-    int_part, frac_part = divmod(scaled, 10**places)
-    return f"{sign}{int_part}.{str(frac_part).zfill(places)} [approx, non-authoritative]"
+    int_part, frac_part = divmod(abs(f.numerator) * 10**6 // f.denominator, 10**6)
+    return f"{sign}{int_part}.{frac_part:06d} [approx, non-authoritative]"

@@ -10,7 +10,7 @@ import json
 import random
 
 from hk4.classifier import classify
-from hk4.cli import main, run_certificate, run_scenario
+from hk4.cli import load_expectations, main, run_certificate, run_scenario
 from hk4.fujiki import fujiki4_pairing
 from hk4.h4 import h4_pair, ns_product
 from hk4.lattices import U
@@ -25,7 +25,7 @@ def classify_json(tmp_path, a):
 
 
 def verify_values(name):
-    res = run_certificate(name)
+    res = run_certificate(name, load_expectations())
     assert res["result"] in ("PASS", "UNSAT-as-expected"), res["diffs"]
     return res["values"]
 

@@ -5,7 +5,7 @@ import math
 from math import isqrt
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hk4 import classifier
@@ -61,18 +61,13 @@ def as_fractions(killed):
 def reference_admissible_qlm(a, A_X):
     """Independent cross-check: q-admissibility in Fraction arithmetic.
 
-    Kills q when the linear coefficient sqrt(2 c_X A_X/3) is irrational,
-    else builds P_RR with `rr_from_cx_ax` and finds the first non-integral
-    value of each model with `integrality_witness`.  Returns
-    ({q: (c_X, parity, rr)}, [(q, parity, reason)]).
+    For a gate-passing (a, A_X), builds P_RR with `rr_from_cx_ax` and finds
+    the first non-integral value of each model with `integrality_witness`.
+    Returns ({q: (c_X, parity, rr)}, [(q, parity, reason)]).
     """
     out, killed = {}, []
     for q in range(1, isqrt(3 * a) + 1):
         c_X = Q(3 * a, q * q)
-        mid_sq = 2 * c_X * A_X / 3
-        if sqrt_rational(mid_sq) is None:
-            killed.append((q, "ANY", f"sqrt({mid_sq}) irrational"))
-            continue
         rr = rr_from_cx_ax(c_X, A_X)
         odd_w = integrality_witness(rr.base, 1, 0)
         even_w = None if odd_w is None else integrality_witness(rr.base, 2, 0)
@@ -94,9 +89,9 @@ def reference_betti_candidates(A_X):
                 prof = betti_profile(b2, b3)
             except ValueError:
                 continue
-            if prof.violations or prof.A_X != A_X:
+            if prof["violations"] or prof["A_X"] != A_X:
                 continue
-            found.append(prof.triple)
+            found.append((prof["b2"], prof["b3"], prof["b4"]))
     return found
 
 
@@ -215,15 +210,13 @@ class TestAdmissibleQlm:
     @given(st.integers(1, 3000), st.sampled_from(ADMISSIBLE_AX))
     @example(1, Q(241, 288))
     @example(2, Q(25, 32))
-    def test_irrational_root_matches_fraction_reference(self, a, ax):
-        # most (a, A_X) fail the sqrt gate, so every q is killed as ANY
-        if sqrt_rational(2 * a * ax) is None:
-            killed = []
-            assert admissible_qlm(a, ax, killed=killed) == {}
-            assert [(q, parity) for q, parity, _ in killed] == [
-                (q, "ANY") for q in range(1, isqrt(3 * a) + 1)
-            ]
-        self.assert_matches_reference(a, ax)
+    def test_irrational_root_raises(self, a, ax):
+        # most (a, A_X) fail the sqrt gate; classify never asks about those
+        assume(sqrt_rational(2 * a * ax) is None)
+        killed = []
+        with pytest.raises(ValueError, match="sqrt_gate"):
+            admissible_qlm(a, ax, killed=killed)
+        assert killed == []
 
     def test_rr_is_built_only_for_admitted_q(self, monkeypatch):
         built = []
@@ -233,7 +226,7 @@ class TestAdmissibleQlm:
             return rr_from_cx_ax(c_X, A_X)
 
         monkeypatch.setattr(classifier, "rr_from_cx_ax", counted)
-        for a, ax in ((1, Q(25, 32)), (4, Q(25, 32)), (36, Q(25, 32)), (1000, Q(8, 9))):
+        for a, ax in ((1, Q(25, 32)), (4, Q(25, 32)), (36, Q(25, 32)), (1000, Q(125, 144))):
             built.clear()
             opts = admissible_qlm(a, ax)
             assert built == [opts[q].c_X for q in sorted(opts)]

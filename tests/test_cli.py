@@ -298,7 +298,7 @@ class TestCertificateTable:
         real = ledger.koszul_counts()
         monkeypatch.setattr(ledger, "koszul_counts", lambda: {**real, "contradiction": False})
         monkeypatch.setattr(cli, "load_expectations", lambda: {})
-        res = run_certificate("castelnuovo")
+        res = run_certificate("castelnuovo", {})
         assert res["values"]["status"] == "FAIL"
         assert res["result"] == "FAIL"
         assert main(["verify", "castelnuovo"]) == 1
@@ -315,7 +315,7 @@ class TestCertificateTable:
         real = getattr(ledger, engine)()
         monkeypatch.setattr(ledger, engine, lambda: {**real, **wrong})
         monkeypatch.setattr(cli, "load_expectations", lambda: {})
-        assert run_certificate(name)["values"]["status"] == "FAIL"
+        assert run_certificate(name, {})["values"]["status"] == "FAIL"
         assert main(["verify", name]) == 1
 
     def test_engine_status_is_kept(self, monkeypatch, capsys):
@@ -326,7 +326,7 @@ class TestCertificateTable:
         real = h4.sigma_split_certificate()
         monkeypatch.setattr(h4, "sigma_split_certificate", lambda: {**real, "status": "SAT"})
         monkeypatch.setattr(cli, "load_expectations", lambda: {})
-        res = run_certificate("sigma-split")
+        res = run_certificate("sigma-split", {})
         assert res["values"]["status"] == "SAT"
         assert res["result"] == "FAIL"
         assert main(["verify", "sigma-split"]) == 1
@@ -340,7 +340,7 @@ class TestCertificateTable:
         bad = {**real, "entries": [{**first, "chi": first["chi"] + 1}, *rest]}
         monkeypatch.setattr(ledger, "chi_table", lambda: bad)
         monkeypatch.setattr(cli, "load_expectations", lambda: {})
-        assert run_certificate("chi-table")["result"] == "FAIL"
+        assert run_certificate("chi-table", {})["result"] == "FAIL"
         assert main(["verify", "chi-table"]) == 1
 
 
@@ -552,7 +552,10 @@ class TestExpectationsReadOncePerSuite:
         suite = run_suite(sorted(CERTIFICATES))
         assert suite["all_expected_verdicts_reproduced"]
         assert len(calls) == 1
-        assert run_certificate("segre")["result"] == "PASS"
+        assert main(["verify", "segre"]) == 0
+        assert len(calls) == 2
+        # run_certificate takes the parsed expectations and reads nothing itself
+        assert run_certificate("segre", real())["result"] == "PASS"
         assert len(calls) == 2
 
 

@@ -13,7 +13,6 @@ from hk4.classifier import classify
 from hk4.fujiki import (
     ADMISSIBLE_288AX,
     ADMISSIBLE_AX,
-    BettiProfile,
     a_from_fujiki,
     betti_profile,
     fujiki4_pairing,
@@ -169,20 +168,18 @@ class TestRRLagrangianForm:
 class TestBettiProfile:
     def test_rank_23(self):
         p = betti_profile(23, 0)
-        assert (p.c4, p.b4, p.A_X) == (324, 276, Q(25, 32))
-        assert p.violations == ()
+        assert (p["c4"], p["b4"], p["A_X"]) == (324, 276, Q(25, 32))
+        assert p["violations"] == []
 
     def test_low_rank_triples(self):
-        assert betti_profile(7, 8).triple == (7, 8, 108)
-        assert betti_profile(6, 4).triple == (6, 4, 102)
-        assert betti_profile(5, 0).triple == (5, 0, 96)
-        for b2, b3 in ((7, 8), (6, 4), (5, 0)):
+        for b2, b3, b4 in ((7, 8, 108), (6, 4, 102), (5, 0, 96)):
             p = betti_profile(b2, b3)
-            assert p.A_X == Q(27, 32) and p.c4 == 108 and p.violations == ()
+            assert (p["b2"], p["b3"], p["b4"]) == (b2, b3, b4)
+            assert p["A_X"] == Q(27, 32) and p["c4"] == 108 and p["violations"] == []
 
     def test_euler_characteristic_consistency(self):
         p = betti_profile(5, 0)
-        assert 2 + 2 * p.b2 - 2 * p.b3 + p.b4 == p.c4 == 108
+        assert 2 + 2 * p["b2"] - 2 * p["b3"] + p["b4"] == p["c4"] == 108
 
     def test_negative_b4_rejected(self):
         with pytest.raises(ValueError):
@@ -196,14 +193,14 @@ class TestBettiProfile:
 
     def test_violations_reported_not_raised(self):
         p = betti_profile(5, 2)  # c4 = 102 not divisible by 12
-        assert any("288*A_X" in v for v in p.violations)
+        assert any("288*A_X" in v for v in p["violations"])
 
     def test_ax_window_on_low_rank_branch(self):
         # restricted to c4 >= 0 (i.e. b3 <= 4 b2 + 16); exact comparisons
         for b2 in range(3, 9):
             for b3 in range(0, 4 * b2 + 17, 2):
                 p = betti_profile(b2, b3)
-                assert Q(5, 6) <= p.A_X <= Q(131, 144)
+                assert Q(5, 6) <= p["A_X"] <= Q(131, 144)
 
     def test_admissible_values_cover_both_branches(self):
         vals = ADMISSIBLE_AX

@@ -125,7 +125,7 @@ def counts(kind: str, node: ast.AST, called: bool) -> bool:
 
     A method is reached through an attribute (or a string naming it), never a
     bare name; a plain method only when the attribute is called, since an
-    uncalled read may be a field of the same name (``BettiProfile.violations``).
+    uncalled read may be a field of the same name (``QOption.c_X``).
     """
     if kind == "name" or isinstance(node, ast.Constant):
         return True
