@@ -20,6 +20,24 @@ numerators over one denominator, q-admissibility on P_RR scaled by a
 common denominator.  The trace text is written from those integers too.
 Fractions are built only for what a CaseReport stores: the states, the
 admitted QOptions and their Riemann-Roch polynomials.
+
+Two facts about the search shape `classify`; both are proved here and
+tested in tests/test_classifier.py.
+
+Lemma 1 (a state always admits q = 1).  A state of `gamma_search` is an m
+of the parity of a with 8aq | p - q m^2, where p/q = 32 a A_X = 16 r^2 in
+lowest terms and r = sqrt(2 a A_X).  Then q | p with gcd(p, q) = 1, so
+q = 1: R = 4r is a rational with an integer square, so an integer, and
+8a | R^2 - m^2 gives R the parity of m, which is that of a.  At q(l, m) = 1
+the even value model has P_RR(0) = 3, P_RR(2) - 3 = (R + a)/2 and
+P_RR(4) - 3 = R + 2a, all integers, so `admissible_qlm` admits q = 1 and
+every state becomes a solution.
+
+Lemma 2 (the even-b kill is implied).  For even a every b = m/2 is an
+integer, and each A_X's window holds a >= 2 consecutive values of b, so
+an even one among them.  By Lemma 1 every state is a solution, so when
+every solution has odd b, some even b was killed, and the note "forces
+b odd" needs only the parity of a and of the solutions' b.
 """
 
 from __future__ import annotations
@@ -42,7 +60,6 @@ from .fujiki import (
 from .rationals import (
     Q,
     RatPoly,
-    is_integer,
     is_perfect_square,
     ratio_to_string,
     sqrt_rational,
@@ -158,7 +175,8 @@ def admissible_qlm(a: int, A_X: Q, killed: Optional[list] = None) -> dict[int, Q
 
     The answer depends on (a, A_X) only, not on the b-window state, so
     `classify` calls this once per A_X that has states.  Like `gamma_search`,
-    it raises ValueError unless A_X passed `sqrt_gate`.
+    it raises ValueError unless A_X passed `sqrt_gate`.  When A_X has states,
+    q = 1 is always admitted (Lemma 1 of the module docstring).
 
     For each q, c_X = 3a/q^2 and the Riemann-Roch polynomial must take
     integer values on the set of values of the quadratic form; the engine
@@ -256,7 +274,7 @@ def betti_options_for(A_X: Q, table: Sequence[dict]) -> tuple[list, list]:
     A candidate is a violation-free profile of the grid in `_betti_grid`
     whose A_X matches; the grid is scanned once, and this is a lookup.
     Depends on A_X and the table only; `classify` calls it once per A_X
-    that has an admitted q(l, m).  The table holds integer b2 and b3, as
+    that has states.  The table holds integer b2 and b3, as
     `load_betti_table` checks.
     """
     listed_pairs = {(e["b2"], e["b3"]) for e in table}
@@ -281,10 +299,9 @@ def classify(
     computed once per A_X; the trace still lists the q-kills once per state,
     each entry carrying that state's gamma.  The trace text is written from
     the integer kill lists; the strings of A_X and gamma are formatted once
-    per A_X and per state.
+    per A_X and per state.  Every state admits q = 1 (Lemma 1 of the module
+    docstring), so every state is a solution.  `sqrt_gate` rejects a < 1.
     """
-    if a < 1:
-        raise ValueError("a must be a positive integer")
     if betti_table is None:
         betti_table = load_betti_table()
     trace: list[TraceEntry] = []
@@ -316,15 +333,11 @@ def classify(
         ax_values = [ax for ax in ax_values if ax == restrict_ax]
 
     solutions: list[Solution] = []
-    killed_even_b = False
     for ax in ax_values:
         ax_s = str(ax)
         gamma_kills: list = []
         states = gamma_search(a, ax, killed=gamma_kills)
         for m, num, den in gamma_kills:
-            # b = m/2 is an even integer iff 4 | m
-            if m % 4 == 0:
-                killed_even_b = True
             b_s = str(m // 2) if m % 2 == 0 else f"{m}/2"
             trace.append(
                 TraceEntry(
@@ -339,8 +352,7 @@ def classify(
         q_kills: list = []
         q_options = admissible_qlm(a, ax, killed=q_kills)
         admitted = tuple(q_options[q] for q in sorted(q_options))
-        if admitted:
-            in_table, builtin_only = map(tuple, betti_options_for(ax, betti_table))
+        in_table, builtin_only = map(tuple, betti_options_for(ax, betti_table))
         for state in states:
             head = f"A_X={ax_s}, gamma={state.gamma}"
             for q, parity, reason in q_kills:
@@ -352,16 +364,6 @@ def classify(
                         value=reason,
                     )
                 )
-            if not admitted:
-                trace.append(
-                    TraceEntry(
-                        stage="admissible_qlm",
-                        candidate=head,
-                        constraint="at least one admissible q(l, m)",
-                        value="none",
-                    )
-                )
-                continue
             solutions.append(
                 Solution(
                     state=state,
@@ -372,12 +374,8 @@ def classify(
             )
 
     if solutions:
-        bs = [s.state.b for s in solutions]
-        if (
-            a % 2 == 0
-            and killed_even_b
-            and all(is_integer(b) and int(b) % 2 == 1 for b in bs)
-        ):
+        # for even a every b is an integer, and an even b was killed (Lemma 2)
+        if a % 2 == 0 and all(s.state.b % 2 == 1 for s in solutions):
             notes.append("integrality of 4*A_X - b^2/(2a) forces b odd")
         for s in solutions:
             if s.betti_builtin_only:

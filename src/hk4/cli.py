@@ -408,7 +408,7 @@ def run_scenario(doc: dict, betti_path: Optional[str] = None) -> dict:
     else:
         principal = None
         if a == 1:
-            rr = fujiki.rr_lagrangian_form(n, 1, 1, 0)
+            rr = fujiki.rr_lagrangian_form(n)
             principal = {
                 "q_lm": 1,
                 "q_m": 0,
@@ -449,7 +449,8 @@ def _run(args) -> int:
             raise InputError("--a must be a positive integer")
         table = _load("Betti data", classifier.load_betti_table, args.betti_data)
         report = classifier.classify(args.a, betti_table=table)
-        _emit(args, case_report_json(report), echo=False)
+        if args.json_path:
+            _emit(args, case_report_json(report), echo=False)
         _print_case_report(report, decimal=args.decimal)
         return EXIT_OK
 

@@ -4,8 +4,8 @@ For a hyper-Kahler manifold of dimension 2n the top self-intersection of a
 degree-2 class is c_X * q(alpha)^n for a positive rational constant c_X; this
 module implements the fiber degree a that relation gives an isotropic pair
 (l, m), the dimension-4 four-class identity, the degree-n Riemann-Roch
-polynomial (the n = 2 form from (c_X, A_X) and the fibration form), and the
-Betti/Chern constraint arithmetic built on A_X = (7 c2^2 - 4 c4)/5760.
+polynomial (the n = 2 form from (c_X, A_X) and the principal fibration form),
+and the Betti/Chern constraint arithmetic built on A_X = (7 c2^2 - 4 c4)/5760.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .rationals import (
     RatPoly,
     binom_poly,
     is_integer,
-    linear_poly,
     sqrt_rational,
 )
 
@@ -88,16 +87,13 @@ def rr_from_cx_ax(c_X, A_X) -> RRPolynomial:
     return RRPolynomial(base=RatPoly((Q(3), mid, c_X / 24)), n=2)
 
 
-def rr_lagrangian_form(n: int, d: int, q_lm: int, q_m: int) -> RRPolynomial:
-    """The fibration form binom(d + (T - q(m))/(2 q(l,m)) + n, n).
+def rr_lagrangian_form(n: int) -> RRPolynomial:
+    """binom(T/2 + n + 1, n), the polynomial of a principally polarized fibration.
 
-    With d = 1, q(l,m) = 1, q(m) = 0 this is binom(T/2 + n + 1, n), the
-    polynomial of a principally polarized fibration.
+    This is the fibration form binom(d + (T - q(m))/(2 q(l,m)) + n, n) at
+    d = 1, q(l,m) = 1, q(m) = 0, the only case a command reports.
     """
-    if q_lm <= 0:
-        raise ValueError("q(l, m) must be positive")
-    x = linear_poly(Q(1, 2 * q_lm), Q(d + n) - Q(q_m, 2 * q_lm))
-    return RRPolynomial(base=binom_poly(x, n), n=n)
+    return RRPolynomial(base=binom_poly(RatPoly((Q(n + 1), Q(1, 2))), n), n=n)
 
 
 def betti_profile(b2: int, b3: int) -> dict:

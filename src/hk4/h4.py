@@ -38,8 +38,7 @@ from typing import Sequence
 
 from .fujiki import fujiki4_pairing
 from .lattices import U, U2, QuadLattice
-from .rationals import (Q, RatPoly, det_cofactor, divisors, is_integer, sqrt_rational,
-                        squarefree_part)
+from .rationals import Q, RatPoly, det_cofactor, divisors, is_integer, squarefree_part
 
 B2 = 23
 QDUAL_NS = B2 + 2  # <q-dual, alpha*beta> = 25 q(alpha, beta)
@@ -210,7 +209,7 @@ def primitive_integer_form(p: RatPoly) -> tuple[RatPoly, int]:
 
     Returns (primitive integer-coefficient polynomial, k).
     """
-    if p.is_zero:
+    if not p:
         raise ValueError("zero polynomial has no primitive form")
     coeffs = list(p.coeffs)
     k = 0
@@ -259,11 +258,12 @@ def lagrangian_plane_certificate() -> dict:
     c2(plane) + c2(normal) + c1*c1 = 3 + 3 - 9 = -3).  Solving the two linear
     equations for (t, u) by Cramer's rule and substituting into the quadratic
     yields a rational multiple of 92 x^2 + 20 x - 525; an independent chained
-    resultant reproduces the same primitive quadratic.  Its roots are 105/46
-    and -5/2; the integer-root scan over divisors of 525 certifies NONE.  Both
-    root scans run on the primitive integer coefficients (``root_scan``).
+    resultant reproduces the same primitive quadratic.  One rational root
+    test on its primitive integer coefficients (``root_scan``) finds the
+    roots, 105/46 and -5/2, and certifies that no divisor of 525 is an
+    integer root; each root is checked by back-substitution.
     """
-    x = RatPoly.monomial(1, Q(1))
+    x = RatPoly((Q(0), Q(1)))
     zero_x = RatPoly()
 
     qAA = 3 * x * x  # integral(A^4) = c_X q(A)^2 with c_X = 3
@@ -298,16 +298,12 @@ def lagrangian_plane_certificate() -> dict:
     quad_res, _ = primitive_integer_form(chained)
 
     disc = quad.coefficient(1) ** 2 - 4 * quad.coefficient(2) * quad.coefficient(0)
-    sq = sqrt_rational(disc)
-    roots = frozenset(
-        ((-quad.coefficient(1) + s) / (2 * quad.coefficient(2)) for s in (sq, -sq))
-    )
     integer_roots, rational_roots = root_scan(*(int(quad.coefficient(k)) for k in range(3)))
 
     # back-substitution: at each root the linear system determines (t, u) and
     # all three original equations must hold exactly
     back = []
-    for x0 in sorted(roots):
+    for x0 in rational_roots:
         d0 = det(x0)
         t0, u0 = t_num(x0) / d0, u_num(x0) / d0
         e1 = 3 * t0 * t0 * x0 * x0 + 50 * t0 * u0 * x0 + QDUAL_SELF * u0 * u0
@@ -340,7 +336,7 @@ def lagrangian_plane_certificate() -> dict:
         ),
         "quadratic": _coefficients(quad, 3),
         "quadratic_resultant": _coefficients(quad_res, 3),
-        "roots": sorted(roots),
+        "roots": rational_roots,
         "integer_roots": integer_roots,
         "rational_roots": rational_roots,
         "back_substitution": back,

@@ -83,14 +83,6 @@ U2 = QuadLattice(
 )
 
 
-def is_primitive(v: Sequence[int]) -> bool:
-    """A class is primitive when the gcd of its coordinates is 1."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g == 1
-
-
 def hyperbolic_pair_normalize(q_l: int, q_m: int, q_lm: int) -> dict:
     """Normalize (q(l)=0, q(m), q(l,m)) by m -> +-m + r*l.
 
@@ -148,7 +140,7 @@ def prime_exceptional_scan() -> dict:
             qe = U.q(v)
             if qe >= 0:
                 continue
-            if not is_primitive(v):
+            if gcd(t, u) != 1:
                 if len(rejected) < sample:
                     rejected.append((v, "not primitive"))
                 continue

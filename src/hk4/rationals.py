@@ -142,17 +142,9 @@ class RatPoly:
     def constant(c) -> "RatPoly":
         return RatPoly((c,))
 
-    @staticmethod
-    def monomial(k: int, c=1) -> "RatPoly":
-        return RatPoly((0,) * k + (c,))
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)
@@ -160,14 +152,7 @@ class RatPoly:
     def __eq__(self, other) -> bool:
         if isinstance(other, RatPoly):
             return self.coeffs == other.coeffs
-        if not self.coeffs:
-            return not other
-        if len(self.coeffs) == 1:
-            return self.coeffs[0] == other
         return NotImplemented
-
-    def __hash__(self):
-        return hash(self.coeffs)
 
     def __call__(self, x):
         acc = 0
@@ -199,7 +184,7 @@ class RatPoly:
     def __mul__(self, other):
         if not isinstance(other, RatPoly):
             return RatPoly(tuple(c * other for c in self.coeffs))
-        if self.is_zero or other.is_zero:
+        if not self.coeffs or not other.coeffs:
             return RatPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
@@ -212,15 +197,13 @@ class RatPoly:
     def coefficient(self, k: int):
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else Q(0)
 
+    # pytest prints it for the records that hold polynomials when an assertion fails
     def __repr__(self):
         return f"RatPoly({self.coeffs!r})"
 
-    def __str__(self):
-        return self.pretty("T")
-
     def pretty(self, var: str = "T") -> str:
         """Human-readable form, highest degree first, exact rationals."""
-        if self.is_zero:
+        if not self.coeffs:
             return "0"
         parts = []
         for k in range(self.degree, -1, -1):
@@ -239,11 +222,6 @@ class RatPoly:
             else:
                 parts.append(term)
         return " ".join(parts)
-
-
-def linear_poly(a, b) -> RatPoly:
-    """The polynomial a*T + b."""
-    return RatPoly((Q(b), Q(a)))
 
 
 def binom_poly(x: RatPoly, k: int) -> RatPoly:

@@ -23,8 +23,8 @@ from hk4.classifier import (
     squarefree_a_filter,
 )
 from hk4.cli import case_report_json
-from hk4.fujiki import ADMISSIBLE_AX, betti_profile, rr_from_cx_ax
-from hk4.rationals import Q, integrality_witness, is_integer, sqrt_rational
+from hk4.fujiki import ADMISSIBLE_288AX, ADMISSIBLE_AX, betti_profile, rr_from_cx_ax
+from hk4.rationals import Q, integrality_witness, is_integer, sqrt_rational, squarefree_part
 from hk4.report import dumps_canonical
 
 #: a <= 3000 that pass the sqrt gate, the only ones with a b-window to scan.
@@ -335,6 +335,50 @@ class TestClassify:
         rep = classify(36)  # two A_X, with 6 and 2 states
         assert len(rep.solutions) == 8
         assert calls == {"admissible_qlm": 2, "betti_options_for": 2}
+
+
+#: a = squarefree_part(N) * k^2 <= 10^5 for an admissible N = 288*A_X: a*N is a square.
+LARGE_GATED_A = st.sampled_from(ADMISSIBLE_288AX).flatmap(
+    lambda n: st.integers(1, isqrt(10**5 // squarefree_part(n))).map(
+        lambda k: squarefree_part(n) * k * k))
+
+
+class TestLemmas:
+    """The two lemmas of the classifier's module docstring, checked on the engine."""
+
+    @staticmethod
+    def assert_states_admit_q1(a):
+        for ax in sqrt_gate(a):
+            if gamma_search(a, ax):
+                assert 1 in admissible_qlm(a, ax), (a, ax)
+
+    def test_every_state_admits_q1_up_to_3000(self):
+        for a in GATED_A:
+            self.assert_states_admit_q1(a)
+
+    @settings(max_examples=40, deadline=None)
+    @given(LARGE_GATED_A)
+    @example(99856)  # 316^2, a perfect square: both 225/288 and 256/288 pass the gate
+    @example(262 * 19 * 19)  # the largest draw for N = 262
+    def test_every_state_admits_q1_for_large_a(self, a):
+        assert sqrt_gate(a)
+        self.assert_states_admit_q1(a)
+
+    def test_every_state_is_a_solution_and_the_odd_b_note_is_exact(self):
+        table = load_betti_table()
+        for a in GATED_A:
+            rep = classify(a, betti_table=table)
+            states = sum(len(gamma_search(a, ax)) for ax in sqrt_gate(a))
+            assert len(rep.solutions) == states, a
+            noted = "integrality of 4*A_X - b^2/(2a) forces b odd" in rep.notes
+            odd = a % 2 == 0 and bool(rep.solutions) and all(
+                s.state.b % 2 == 1 for s in rep.solutions)
+            assert noted == odd, a
+            if noted:
+                # Lemma 2: an even b was killed in some window
+                killed = [t.candidate.split("b=")[1] for t in rep.trace
+                          if t.stage == "gamma_search"]
+                assert any("/" not in b and int(b) % 2 == 0 for b in killed), a
 
 
 class TestBettiOptions:

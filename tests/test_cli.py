@@ -92,6 +92,25 @@ class TestClassifyCommand:
         # exact value still present
         assert "25/32" in res.stdout
 
+    def test_report_is_converted_only_for_json(self, monkeypatch, capsys, tmp_path):
+        import hk4.cli as cli
+
+        calls = []
+
+        def counted(report):
+            calls.append(report.a)
+            return to_jsonable(report)
+
+        monkeypatch.setattr(cli, "case_report_json", counted)
+        assert main(["classify", "--a", "36"]) == 0
+        plain = capsys.readouterr().out
+        assert calls == []
+        out = tmp_path / "a36.json"
+        assert main(["classify", "--a", "36", "--json", str(out)]) == 0
+        assert capsys.readouterr().out == plain
+        assert calls == [36]
+        assert json.loads(out.read_text())["a"] == 36
+
 
 class TestVerifyCommand:
     def test_unknown_id(self):

@@ -13,6 +13,7 @@ from hk4.classifier import classify
 from hk4.fujiki import (
     ADMISSIBLE_288AX,
     ADMISSIBLE_AX,
+    RRPolynomial,
     a_from_fujiki,
     betti_profile,
     fujiki4_pairing,
@@ -21,7 +22,7 @@ from hk4.fujiki import (
     rr_lagrangian_form,
 )
 from hk4.lattices import U, QuadLattice
-from hk4.rationals import Q, integer_valued_on, is_integer
+from hk4.rationals import Q, RatPoly, binom_poly, integer_valued_on, is_integer
 
 
 def rr_violations(rr) -> tuple[str, ...]:
@@ -52,9 +53,9 @@ class TestReportedRRPolynomials:
         assert rr_violations(ledger.RR) == ()
 
     def test_principal_fibration_forms(self):
-        # the scenario's principal case for n != 2 reports rr_lagrangian_form(n, 1, 1, 0)
+        # the scenario's principal case for n != 2 reports rr_lagrangian_form(n)
         for n in range(1, 6):
-            assert rr_violations(rr_lagrangian_form(n, 1, 1, 0)) == (), n
+            assert rr_violations(rr_lagrangian_form(n)) == (), n
 
 
 class TestPolarizedPairing:
@@ -105,14 +106,14 @@ class TestFujiki4:
 
 def _interp_coefficient(values, points, k):
     """Coefficient of x^k of the unique degree<=4 polynomial through the samples."""
-    from hk4.rationals import RatPoly, linear_poly
+    from hk4.rationals import RatPoly
 
     total = RatPoly()
     for i, (xi, yi) in enumerate(zip(points, values)):
         term = RatPoly.constant(Q(yi))
         for j, xj in enumerate(points):
             if i != j:
-                term = term * linear_poly(1, -xj) * Q(1, xi - xj)
+                term = term * RatPoly((-xj, 1)) * Q(1, xi - xj)
         total = total + term
     return total.coefficient(k)
 
@@ -139,13 +140,23 @@ class TestRRFromCxAx:
         assert not integer_valued_on(rr.base, 1, 0)
 
 
+def fibration_form(n, d, q_lm, q_m) -> RRPolynomial:
+    """Test-only oracle: the general fibration form binom(d + (T - q(m))/(2 q(l,m)) + n, n)."""
+    x = RatPoly((Q(d + n) - Q(q_m, 2 * q_lm), Q(1, 2 * q_lm)))
+    return RRPolynomial(base=binom_poly(x, n), n=n)
+
+
 class TestRRLagrangianForm:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_is_the_general_form_at_the_principal_case(self, n):
+        assert rr_lagrangian_form(n) == fibration_form(n, 1, 1, 0)
+
     def test_dimension_four(self):
-        rr = rr_lagrangian_form(2, 1, 1, 0)
+        rr = rr_lagrangian_form(2)
         assert rr.base.coeffs == (3, Q(5, 4), Q(1, 8))
 
     def test_dimension_ten(self):
-        rr = rr_lagrangian_form(5, 1, 1, 0)
+        rr = rr_lagrangian_form(5)
         assert rr.c_X == 945
         assert rr.base.coefficient(0) == 6
         # spot values: binom(k + 6, 5) at T = 2k
@@ -155,13 +166,13 @@ class TestRRLagrangianForm:
             assert rr(2 * k) == binom(k + 6, 5)
 
     def test_constant_term_gate(self):
-        rr = rr_lagrangian_form(2, 0, 1, 0)
+        rr = fibration_form(2, 0, 1, 0)
         assert rr.base.coefficient(0) == 1
         assert any("constant term" in v for v in rr_violations(rr))
 
     def test_scaled_form_matches_value_polynomial(self):
         # d = 1, q(l,m) = 1, q(m) = 0 in dimension 4 reproduces binom(T/2+3, 2)
-        rr = rr_lagrangian_form(2, 1, 1, 0)
+        rr = rr_lagrangian_form(2)
         assert rr(2) == 6 and rr(4) == 10 and rr(-2) == 1 and rr(-4) == 0
 
 

@@ -1,6 +1,7 @@
 """Lattice layer: hyperbolic normalization, reflection, cones, enumeration."""
 
 import itertools
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +14,6 @@ from hk4.lattices import (
     QuadLattice,
     cone_report,
     hyperbolic_pair_normalize,
-    is_primitive,
     prime_exceptional_scan,
     reflection_about,
 )
@@ -166,7 +166,7 @@ class TestPrimeExceptional:
     def test_candidates_have_square_minus_two_and_primitive(self):
         for v in prime_exceptional_scan()["prime_exceptional"]:
             assert U.q(v) == -2
-            assert is_primitive(v)
+            assert gcd(*v) == 1
 
     def test_rejections(self):
         scan = prime_exceptional_scan()
@@ -174,7 +174,6 @@ class TestPrimeExceptional:
         assert scan["window"] == 10
         assert (-1, 1) in found and (1, -1) in found
         # non-primitive multiple and a q = -4 class both fail
-        assert not is_primitive((2, -2))
         assert (2, -2) not in found
         assert (-1, 2) not in found
         assert "1/t" in argument or "|t| = |u| = 1" in argument
@@ -189,7 +188,7 @@ def _prime_exceptional_reference():
             qe = U.q(v)
             if qe >= 0:
                 continue
-            if not is_primitive(v):
+            if gcd(t, u) != 1:
                 rejected.append((v, "not primitive"))
                 continue
             for b in ((1, 0), (0, 1)):

@@ -91,8 +91,7 @@ TEXT = st.text(max_size=6) | st.sampled_from(
 RATIONAL = st.fractions(max_denominator=50)
 SCALAR = st.none() | st.booleans() | st.integers() | st.integers(-2, 2) | TEXT | RATIONAL
 POLY = st.builds(RatPoly, st.lists(RATIONAL, max_size=4))
-RR = (st.builds(rr_lagrangian_form, st.integers(1, 4), st.integers(-2, 3), st.integers(1, 3),
-                st.integers(-3, 3))
+RR = (st.builds(rr_lagrangian_form, st.integers(1, 4))
       | st.builds(lambda c_ax: rr_from_cx_ax(*c_ax),  # the pairs with a rational root
                   st.sampled_from([(3, Fraction(25, 32)), (9, Fraction(27, 32)),
                                    (Fraction(1, 2), Fraction(3, 4))])))
