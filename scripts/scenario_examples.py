@@ -3,10 +3,14 @@
 
 Writes scenario JSON files for the three standard Fujiki constants on a
 hyperbolic degree-2 pair (c_X = 3 and 9 in dimension 4, c_X = 945 in
-dimension 10) and prints each resulting report summary.  Exits 0, or 141
-when stdout is closed early.
+dimension 10) and prints each resulting report summary.
+
+Usage: ``scenario_examples.py [OUTDIR]``, where OUTDIR (default
+``scenarios``) is created if it does not exist.  Exits 0, 2 on a usage
+error (before anything is written), or 141 when stdout is closed early.
 """
 
+import argparse
 import json
 import pathlib
 import sys
@@ -42,7 +46,11 @@ SCENARIOS = {
 
 
 def main() -> int:
-    outdir = pathlib.Path(sys.argv[1] if len(sys.argv) > 1 else "scenarios")
+    parser = argparse.ArgumentParser(
+        description="Write the three canonical scenarios and print each report summary.")
+    parser.add_argument("outdir", nargs="?", default="scenarios",
+                        help="directory for the scenario files (default: scenarios)")
+    outdir = pathlib.Path(parser.parse_args().outdir)
     outdir.mkdir(exist_ok=True)
     for name, doc in SCENARIOS.items():
         path = outdir / f"{name}.json"

@@ -11,17 +11,17 @@ turns it into one ``error:`` line and the exit code.  Each command converts
 its payload to plain JSON once, where it builds it, and serializes it at most
 once, in ``_emit``.
 
-The 15 certificates form one table, ``CERTIFICATES``: each entry names the
-engine computation and the claim its result must satisfy.  The engine
-returns the dict a certificate reports; an entry names ``fields`` only where
-it reports a subset, an alias or a reshape of that result.  One rule,
-``Certificate.status``, sets every status: values that carry their own
-status keep it (the three h4 refutations report the engine's UNSAT or SAT),
-and any other result is PASS when its claim holds and FAIL when it does
-not.  An entry whose only check is its pinned expected values has
-``claim=None``.  The expected values live in data/expectations.json,
-separate from the code, so a diff between computed and expected values is a
-first-class artifact.
+The 15 certificates form one table, ``CERTIFICATES``, of zero-argument
+functions that return the values a certificate reports.  The three h4
+refutations are the engine calls themselves: the engine decides their UNSAT
+or SAT status.  Every other entry is built by ``_certificate`` from the
+engine computation and the claim its result must satisfy; its status is
+PASS when the claim holds and FAIL when it does not, and an entry whose only
+check is its pinned expected values has no claim.  The engine returns the
+dict a certificate reports; an entry names ``fields`` only where it reports
+a subset, an alias or a reshape of that result.  The expected values live in
+data/expectations.json, separate from the code, so a diff between computed
+and expected values is a first-class artifact.
 Certificates run serially: pure-Python exact arithmetic gains nothing from threads.
 """
 
@@ -32,7 +32,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from math import gcd
 from importlib import resources
 from pathlib import Path
@@ -54,37 +53,25 @@ EXIT_CLOSED_STDOUT = 141
 # certificate table
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """One row of the certificate table; calling it returns the reported values.
+def _certificate(compute: Callable[[], Any], claim: Optional[Callable[[Any], bool]] = None,
+                 fields: Callable[[Any], dict] = dict) -> Callable[[], dict]:
+    """One row of the certificate table: a zero-argument function returning the reported values.
 
-    ``compute`` looks its engine functions up through their modules each time
-    it runs (``ledger.koszul_counts()``, never a reference taken at import),
-    so a function rebound on its module, by a tracer or a test, is the one
-    that runs.  Most computations return the dict they report; ``fields``
-    is a view of the result only where a row reports a subset, an alias or
-    a reshape of it.
+    The values are ``fields(result)`` of the engine's result, with a
+    ``status`` that is PASS when the claim holds (or there is none) and FAIL
+    otherwise.  ``compute`` looks its engine functions up through their
+    modules each time it runs (``ledger.koszul_counts()``, never a reference
+    taken at import), so a function rebound on its module, by a tracer or a
+    test, is the one that runs.  Most computations return the dict they
+    report; ``fields`` is a view of the result only where a row reports a
+    subset, an alias or a reshape of it.
     """
 
-    compute: Callable[[], Any]
-    claim: Optional[Callable[[Any], bool]]
-    fields: Callable[[Any], dict] = dict
+    def run() -> dict:
+        result = compute()
+        return {**fields(result), "status": "PASS" if claim is None or claim(result) else "FAIL"}
 
-    def __call__(self) -> dict:
-        result = self.compute()
-        values = self.fields(result)
-        return {**values, "status": self.status(result, values)}
-
-    def status(self, result, values: dict) -> str:
-        """The one status rule.
-
-        Values that carry their own ``status`` keep it: the h4 refutations
-        decide UNSAT or SAT in the engine.  Any other result is PASS when
-        the claim holds (or there is none) and FAIL otherwise.
-        """
-        if "status" in values:
-            return values["status"]
-        return "PASS" if self.claim is None or self.claim(result) else "FAIL"
+    return run
 
 
 def _keys(*names: str) -> Callable[[dict], dict]:
@@ -176,47 +163,46 @@ def _degree_bounds() -> dict:
 
 
 CERTIFICATES: dict[str, Callable[[], dict]] = {
-    "guan-gate": Certificate(_guan_gate_scan, claim=None),
-    "star": Certificate(_star_cases, claim=None),
-    # the h4 refutations decide UNSAT or SAT in the engine
-    "nefcone-plane": Certificate(lambda: h4.lagrangian_plane_certificate(), claim=None),
-    "contract-surface": Certificate(lambda: h4.contracted_surface_certificate(), claim=None),
-    "sigma-split": Certificate(lambda: h4.sigma_split_certificate(), claim=None),
-    "segre": Certificate(lambda: ledger.segre_certificate(), claim=lambda s: s["rank"] == 4),
-    "koszul": Certificate(
+    "guan-gate": _certificate(_guan_gate_scan),
+    "star": _certificate(_star_cases),
+    # the h4 refutations report the UNSAT or SAT their engine decides
+    "nefcone-plane": lambda: h4.lagrangian_plane_certificate(),
+    "contract-surface": lambda: h4.contracted_surface_certificate(),
+    "sigma-split": lambda: h4.sigma_split_certificate(),
+    "segre": _certificate(lambda: ledger.segre_certificate(), claim=lambda s: s["rank"] == 4),
+    "koszul": _certificate(
         lambda: ledger.koszul_counts(),
-        claim=None,
         fields=_keys("ideal_LM", "ideal_L2M2", "h1_ideal_L2M2", "restricted_L2M2",
                      "restriction_rank_LM"),
     ),
-    "castelnuovo": Certificate(
+    "castelnuovo": _certificate(
         lambda: ledger.koszul_counts(),
         claim=lambda rep: rep["contradiction"],
         fields=_keys("quadric_lower_bound", "castelnuovo_max", "contradiction"),
     ),
     # the Mukai vector v is spherical: <v, v> = -2
-    "mukai": Certificate(lambda: ledger.mukai_solve(), claim=lambda rep: rep["self_pairing"] == -2),
-    "k3-checks": Certificate(
+    "mukai": _certificate(lambda: ledger.mukai_solve(), claim=lambda rep: rep["self_pairing"] == -2),
+    "k3-checks": _certificate(
         lambda: ledger.k3_exceptional_checks(),
         claim=lambda rep: rep["is_degree2_k3"],
         fields=lambda rep: {**rep, "H_sigma_squared": rep["h_squared"]},
     ),
-    "cones": Certificate(
+    "cones": _certificate(
         _cone_scan,
         claim=lambda v: all(x >= 0 for t0 in (0, 1) for x in v[f"t0_{t0}"]["duality_products"]),
     ),
-    "reflection": Certificate(
+    "reflection": _certificate(
         _reflection_checks,
         claim=lambda v: all(v[k] for k in ("swaps_l_m", "negates_e", "involution_on_sample",
                                            "preserves_q_on_sample")),
     ),
-    "bott": Certificate(_bott_table, claim=lambda v: v["serre_duality_ok"]),
-    "chi-table": Certificate(
+    "bott": _certificate(_bott_table, claim=lambda v: v["serre_duality_ok"]),
+    "chi-table": _certificate(
         lambda: ledger.chi_table(),
         claim=lambda t: all(e["chi"] == binom(e["p"] * e["q"] + 3, 2) for e in t["entries"]),
         fields=_chi_table_fields,
     ),
-    "bounds": Certificate(_degree_bounds, claim=None),
+    "bounds": _certificate(_degree_bounds),
 }
 
 def load_expectations() -> dict:

@@ -10,10 +10,9 @@ and the Betti/Chern constraint arithmetic built on A_X = (7 c2^2 - 4 c4)/5760.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial
 
-from .lattices import QuadLattice
+from .lattices import U
 from .rationals import (
     Q,
     RatPoly,
@@ -40,17 +39,16 @@ def a_from_fujiki(n: int, c_X, q_lm) -> Q:
     return Q(c_X) * (2 * Q(q_lm)) ** n * Q(factorial(n), factorial(2 * n))
 
 
-def fujiki4_pairing(c_X, lattice: QuadLattice, a1, a2, a3, a4) -> Q:
-    """Four-class intersection number in dimension 4.
+def fujiki4_pairing(a1, a2, a3, a4) -> Q:
+    """Four-class intersection number in dimension 4 for classes of U, at c_X = 3.
 
-    3 * integral(a1 a2 a3 a4) = c_X * (q12 q34 + q13 q24 + q14 q23).
+    3 * integral(a1 a2 a3 a4) = c_X * (q12 q34 + q13 q24 + q14 q23), and the
+    K3^[2] Fujiki constant c_X = 3 cancels the 3.
     """
-    q = lattice.pair
-    s = q(a1, a2) * q(a3, a4) + q(a1, a3) * q(a2, a4) + q(a1, a4) * q(a2, a3)
-    return Q(c_X) * s / 3
+    q = U.pair
+    return Q(q(a1, a2) * q(a3, a4) + q(a1, a3) * q(a2, a4) + q(a1, a4) * q(a2, a3))
 
 
-@dataclass(frozen=True)
 class RRPolynomial:
     """Degree-n Riemann-Roch polynomial in the degree-2 quadratic invariant T.
 
@@ -58,8 +56,11 @@ class RRPolynomial:
     (= chi(O_X)), leading coefficient c_X/(2n)! and positive coefficients.
     """
 
-    base: RatPoly
-    n: int
+    __slots__ = ("base", "n")
+
+    def __init__(self, base: RatPoly, n: int):
+        self.base = base
+        self.n = n
 
     @property
     def c_X(self) -> Q:

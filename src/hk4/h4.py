@@ -32,7 +32,6 @@ polynomials in w directly; ``M_[S]`` is checked to have degree 0 in w.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, isqrt, lcm
 from typing import Sequence
 
@@ -46,7 +45,6 @@ QDUAL_SELF = B2 * (B2 + 2)  # <q-dual, q-dual> = 575
 C2_FACTOR = Q(6, 5)  # c2(X) = (6/5) q-dual
 
 
-@dataclass(frozen=True)
 class H4Class:
     """Coordinates over the basis (l^2, lm, m^2, q-dual).
 
@@ -55,16 +53,11 @@ class H4Class:
     ``Q`` and polynomials as they are.
     """
 
-    l2: Q | RatPoly = Q(0)
-    lm: Q | RatPoly = Q(0)
-    m2: Q | RatPoly = Q(0)
-    qdual: Q | RatPoly = Q(0)
+    __slots__ = ("l2", "lm", "m2", "qdual")
 
-    def __post_init__(self):
-        for f in ("l2", "lm", "m2", "qdual"):
-            v = getattr(self, f)
-            if type(v) not in (Q, RatPoly):
-                object.__setattr__(self, f, Q(v))
+    def __init__(self, l2=Q(0), lm=Q(0), m2=Q(0), qdual=Q(0)):
+        self.l2, self.lm, self.m2, self.qdual = (
+            v if type(v) in (Q, RatPoly) else Q(v) for v in (l2, lm, m2, qdual))
 
     def coords(self) -> tuple:
         return (self.l2, self.lm, self.m2, self.qdual)
@@ -105,7 +98,7 @@ def _sym2_gram() -> tuple[tuple[Q, ...], ...]:
     pairs = ((l, l), (l, m), (m, m))
     rows = []
     for i, (a, b) in enumerate(pairs):
-        row = [fujiki4_pairing(3, U, a, b, c, d) for (c, d) in pairs]
+        row = [fujiki4_pairing(a, b, c, d) for (c, d) in pairs]
         row.append(Q(QDUAL_NS) * U.pair(a, b))
         rows.append(tuple(row))
     rows.append(tuple([Q(QDUAL_NS) * U.pair(a, b) for (a, b) in pairs] + [Q(QDUAL_SELF)]))
@@ -226,10 +219,10 @@ def root_scan(c0: int, c1: int, c2: int) -> tuple[list[int], list[Q]]:
     """Integer and rational roots of c2 x^2 + c1 x + c0 (c0, c2 != 0), ascending.
 
     The rational root test in integers: a root p/q has p | c0 and q | c2, and
-    p/q is a root iff c2 p^2 + c1 p q + c0 q^2 == 0.
+    p/q is a root iff c2 p^2 + c1 p q + c0 q^2 == 0.  The integer roots are
+    the roots with q = 1, so the one scan finds both lists.
     """
     numerators = [r for d in divisors(c0) for r in (d, -d)]
-    integer_roots = sorted(p for p in numerators if c2 * p * p + c1 * p + c0 == 0)
     rational_roots = sorted(
         {
             Q(p, q)
@@ -238,6 +231,7 @@ def root_scan(c0: int, c1: int, c2: int) -> tuple[list[int], list[Q]]:
             if c2 * p * p + c1 * p * q + c0 * q * q == 0
         }
     )
+    integer_roots = sorted(int(r) for r in rational_roots if r.denominator == 1)
     return integer_roots, rational_roots
 
 

@@ -12,7 +12,6 @@ combinatorial cases t0 = 0, 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from typing import Callable, Sequence
 
@@ -21,7 +20,6 @@ from .rationals import Q
 Vector = tuple[int, ...]
 
 
-@dataclass(frozen=True)
 class QuadLattice:
     """Integral quadratic lattice given by a symmetric Gram matrix.
 
@@ -29,21 +27,20 @@ class QuadLattice:
     result has the coordinates' type (an int on integer vectors).
     """
 
-    gram: tuple[tuple[int, ...], ...]
+    __slots__ = ("gram", "_nonzero")
 
-    def __post_init__(self):
-        g = tuple(tuple(Q(x) for x in row) for row in self.gram)
+    def __init__(self, gram: Sequence[Sequence]):
+        g = tuple(tuple(Q(x) for x in row) for row in gram)
         if any(x.denominator != 1 for row in g for x in row):  # exact: 1/2 or 1.5 is not truncated
             raise ValueError("Gram entries must be integers")
         g = tuple(tuple(x.numerator for x in row) for row in g)
-        object.__setattr__(self, "gram", g)
         n = len(g)
         if any(len(row) != n for row in g):
             raise ValueError("Gram matrix must be square")
         if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
             raise ValueError("Gram matrix must be symmetric")
-        nonzero = tuple((i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x)
-        object.__setattr__(self, "_nonzero", nonzero)
+        self.gram = g
+        self._nonzero = tuple((i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x)
 
     @property
     def rank(self) -> int:
@@ -62,8 +59,7 @@ class QuadLattice:
 
     @staticmethod
     def from_json(data: dict) -> "QuadLattice":
-        gram = data["gram"]
-        lat = QuadLattice(tuple(tuple(row) for row in gram))
+        lat = QuadLattice(data["gram"])
         if "rank" in data and int(data["rank"]) != lat.rank:
             raise ValueError("declared rank does not match Gram matrix")
         return lat

@@ -251,7 +251,7 @@ def k3_exceptional_checks() -> dict:
     """
     chi_minus_e = RR(U.q((1, -1)))  # q(l - m) = -2
     chi_oe = RR(0) - chi_minus_e
-    h2 = fujiki4_pairing(3, U, (1, 1), (1, 1), (-1, 1), (1, 0))
+    h2 = fujiki4_pairing((1, 1), (1, 1), (-1, 1), (1, 0))
     return {
         "chi_O_minus_E": chi_minus_e,  # P_RR(q(l - m)) = P_RR(-2)
         "chi_O_E": chi_oe,  # chi(O_X) - chi(O(-E)) = 3 - 1

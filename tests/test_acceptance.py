@@ -13,7 +13,6 @@ from hk4.classifier import classify
 from hk4.cli import load_expectations, main, run_certificate, run_scenario
 from hk4.fujiki import fujiki4_pairing
 from hk4.h4 import h4_pair, ns_product
-from hk4.lattices import U
 from hk4.rationals import Q, RatPoly, integer_valued_on, is_integer
 from hk4.report import dumps_canonical
 
@@ -181,14 +180,14 @@ def test_criterion_12_property_suites():
     rng = random.Random(12)
     for _ in range(50):
         classes = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4)]
-        base = fujiki4_pairing(3, U, *classes)
+        base = fujiki4_pairing(*classes)
         for perm in itertools.permutations(classes):
-            assert fujiki4_pairing(3, U, *perm) == base
+            assert fujiki4_pairing(*perm) == base
 
     # h4_pair against the four-class identity on the Sym^2 block
     for _ in range(50):
         a, b, c, d = ((rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4))
-        assert h4_pair(ns_product(a, b), ns_product(c, d)) == fujiki4_pairing(3, U, a, b, c, d)
+        assert h4_pair(ns_product(a, b), ns_product(c, d)) == fujiki4_pairing(a, b, c, d)
 
     # finite-difference integer-valuedness against brute force on [-50, 50]
     for _ in range(40):

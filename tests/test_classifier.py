@@ -196,7 +196,8 @@ class TestAdmissibleQlm:
         killed = []
         opts = admissible_qlm(a, ax, killed=killed)
         ref_opts, ref_killed = reference_admissible_qlm(a, ax)
-        assert {q: (o.c_X, o.parity, o.rr) for q, o in opts.items()} == ref_opts
+        assert {q: (o.c_X, o.parity, (o.rr.n, o.rr.base)) for q, o in opts.items()} == {
+            q: (c_X, parity, (rr.n, rr.base)) for q, (c_X, parity, rr) in ref_opts.items()}
         assert all(o.q_lm == q for q, o in opts.items())
         assert killed == ref_killed
 

@@ -604,3 +604,36 @@ class TestClosedStdout:
             os.close(write_end)
         assert res.returncode == 141, res.stderr
         assert "Traceback" not in res.stderr and "BrokenPipe" not in res.stderr, res.stderr
+
+
+class TestScenarioExamplesArguments:
+    """scripts/scenario_examples.py takes one optional OUTDIR and parses its options first."""
+
+    @staticmethod
+    def run_script(tmp_path, *args):
+        import hk4
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hk4.__file__)))
+        return subprocess.run([sys.executable, os.path.join(SCRIPTS, "scenario_examples.py"), *args],
+                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+
+    def test_help_prints_usage_and_writes_nothing(self, tmp_path):
+        res = self.run_script(tmp_path, "--help")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.startswith("usage: ") and "outdir" in res.stdout
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_option_is_a_usage_error_and_writes_nothing(self, tmp_path):
+        res = self.run_script(tmp_path, "--bogus")
+        assert res.returncode == 2
+        assert res.stdout == "" and "usage: " in res.stderr and "Traceback" not in res.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, outdir", [((), "scenarios"), (("out",), "out")])
+    def test_writes_the_three_scenarios_into_outdir(self, tmp_path, args, outdir):
+        res = self.run_script(tmp_path, *args)
+        assert res.returncode == 0, res.stderr
+        assert [p.name for p in tmp_path.iterdir()] == [outdir]
+        assert sorted(p.name for p in (tmp_path / outdir).iterdir()) == [
+            "dim10_cx945.json", "hyperbolic_cx3.json", "hyperbolic_cx9.json"]
+        assert res.stdout.count("\n") == 3

@@ -80,28 +80,41 @@ class TestPolarizedPairing:
 class TestFujiki4:
     def test_examples(self):
         l, m = (1, 0), (0, 1)
-        assert fujiki4_pairing(3, U, l, l, m, m) == 2
-        assert fujiki4_pairing(3, U, l, l, l, m) == 0
-        assert fujiki4_pairing(3, U, (1, 1), (1, 1), (-1, 1), l) == 2
+        assert fujiki4_pairing(l, l, m, m) == 2
+        assert fujiki4_pairing(l, l, l, m) == 0
+        assert fujiki4_pairing((1, 1), (1, 1), (-1, 1), l) == 2
 
     def test_permutation_symmetry(self):
         rng = random.Random(20260810)
         for _ in range(50):
             classes = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4)]
-            base = fujiki4_pairing(3, U, *classes)
+            base = fujiki4_pairing(*classes)
             for perm in itertools.permutations(classes):
-                assert fujiki4_pairing(3, U, *perm) == base
+                assert fujiki4_pairing(*perm) == base
 
     def test_binomial_expansion_oracle(self):
         # the x^2 y^2 coefficient of integral((x*l + y*m)^4) is 6 * integral(l^2 m^2)
         for gram in (((0, 1), (1, 0)), ((2, 1), (1, 0)), ((2, 3), (3, -4))):
             lat = QuadLattice(gram)
-            c = Q(3)
-            # integral(alpha^4) = c_X q(alpha)^2, the Fujiki relation in dimension 4
-            values = [c * lat.q((x, 1)) ** 2 for x in range(-2, 3)]
-            # interpolate the degree-4 polynomial p(x) = integral((x*l + m)^4)
-            coeff = _interp_coefficient(values, list(range(-2, 3)), 2)
-            assert coeff == 6 * fujiki4_pairing(c, lat, (1, 0), (1, 0), (0, 1), (0, 1))
+            for c in (Q(3), Q(7, 2)):
+                # integral(alpha^4) = c_X q(alpha)^2, the Fujiki relation in dimension 4
+                values = [c * lat.q((x, 1)) ** 2 for x in range(-2, 3)]
+                # interpolate the degree-4 polynomial p(x) = integral((x*l + m)^4)
+                coeff = _interp_coefficient(values, list(range(-2, 3)), 2)
+                assert coeff == 6 * fujiki4_general(c, lat, (1, 0), (1, 0), (0, 1), (0, 1))
+
+    def test_engine_is_the_general_identity_on_U_at_c_X_3(self):
+        rng = random.Random(20260811)
+        for _ in range(50):
+            classes = [(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(4)]
+            assert fujiki4_pairing(*classes) == fujiki4_general(3, U, *classes)
+
+
+def fujiki4_general(c_X, lattice, a1, a2, a3, a4):
+    """Test-only oracle: the four-class identity on any lattice and any Fujiki constant,
+    3 * integral(a1 a2 a3 a4) = c_X * (q12 q34 + q13 q24 + q14 q23)."""
+    q = lattice.pair
+    return Q(c_X) * (q(a1, a2) * q(a3, a4) + q(a1, a3) * q(a2, a4) + q(a1, a4) * q(a2, a3)) / 3
 
 
 def _interp_coefficient(values, points, k):
@@ -149,7 +162,8 @@ def fibration_form(n, d, q_lm, q_m) -> RRPolynomial:
 class TestRRLagrangianForm:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_is_the_general_form_at_the_principal_case(self, n):
-        assert rr_lagrangian_form(n) == fibration_form(n, 1, 1, 0)
+        rr, general = rr_lagrangian_form(n), fibration_form(n, 1, 1, 0)
+        assert (rr.n, rr.base) == (general.n, general.base)
 
     def test_dimension_four(self):
         rr = rr_lagrangian_form(2)

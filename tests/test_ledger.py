@@ -218,5 +218,5 @@ class TestK3Checks:
 
     def test_h_squared_is_the_four_class_integral(self):
         assert k3_exceptional_checks()["h_squared"] == fujiki4_pairing(
-            3, U, (1, 1), (1, 1), (-1, 1), (1, 0)
+            (1, 1), (1, 1), (-1, 1), (1, 0)
         )

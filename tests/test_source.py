@@ -1,6 +1,9 @@
 """Properties of the engine source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hk4
@@ -21,6 +24,18 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_certificate_engine_loads_without_dataclasses():
+    # only the classifier keeps dataclass records; the certificate engine (rationals,
+    # lattices, fujiki, h4, ledger) must not pull in dataclasses and its inspect/ast/dis
+    code = ("import sys, hk4.h4, hk4.ledger\n"
+            "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(hk4.__file__).parent.parent))
+    res = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
 
 
 def test_no_indented_json_dumps():
