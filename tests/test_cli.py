@@ -111,6 +111,20 @@ class TestClassifyCommand:
         assert calls == [36]
         assert json.loads(out.read_text())["a"] == 36
 
+    @pytest.mark.parametrize("argv, digest", [
+        (("--a", "36"), "5bdb3b8f20c433b37170fe2d164c1af240ba8fb4719c14536ceaf33b42e9d5da"),
+        (("--a", "36", "--decimal"),
+         "f04006346778f835e63a48e361c5159c5ade0c33c88446589036f687f22ad8e0"),
+        # a = 1000 is EMPTY: no A_X is printed, so --decimal changes nothing
+        (("--a", "1000"), "e3d0ecfce33f9ccdf31515bd5cac4c5f2ac7adf53ad488ec235550e1d97ff709"),
+        (("--a", "1000", "--decimal"),
+         "e3d0ecfce33f9ccdf31515bd5cac4c5f2ac7adf53ad488ec235550e1d97ff709"),
+    ])
+    def test_text_output_is_pinned(self, capsys, argv, digest):
+        # solutions, q options, notes and every trace row, as printed
+        assert main(["classify", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
 
 class TestVerifyCommand:
     def test_unknown_id(self):
