@@ -7,7 +7,8 @@ dimension 10) and prints each resulting report summary.
 
 Usage: ``scenario_examples.py [OUTDIR]``, where OUTDIR (default
 ``scenarios``) is created if it does not exist.  Exits 0, 2 on a usage
-error (before anything is written), or 141 when stdout is closed early.
+error or an OUTDIR that cannot be made a directory (with one ``error:``
+line, before anything is written), or 141 when stdout is closed early.
 """
 
 import argparse
@@ -51,7 +52,11 @@ def main() -> int:
     parser.add_argument("outdir", nargs="?", default="scenarios",
                         help="directory for the scenario files (default: scenarios)")
     outdir = pathlib.Path(parser.parse_args().outdir)
-    outdir.mkdir(exist_ok=True)
+    try:
+        outdir.mkdir(exist_ok=True)
+    except OSError as exc:  # a file in the way, or a missing parent
+        print(f"error: cannot create OUTDIR {str(outdir)!r}: {exc.strerror}", file=sys.stderr)
+        return 2
     for name, doc in SCENARIOS.items():
         path = outdir / f"{name}.json"
         path.write_text(json.dumps(doc, indent=2) + "\n")

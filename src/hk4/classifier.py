@@ -21,6 +21,11 @@ common denominator.  The trace text is written from those integers too.
 Fractions are built only for what a CaseReport stores: the states, the
 admitted QOptions and their Riemann-Roch polynomials.
 
+The trace is a `report.Table` of `TraceEntry` rows, one per killed
+candidate.  A row is a namedtuple of four strings, read by name: the
+stage, the candidate, the constraint it fails and the value that fails
+it.  The JSON writes each row as an object with those four keys.
+
 Two facts about the search shape `classify`; both are proved here and
 tested in tests/test_classifier.py.
 
@@ -45,6 +50,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
 from math import isqrt
@@ -65,17 +71,14 @@ from .rationals import (
     sqrt_rational,
     squarefree_part,
 )
+from .report import Table
 
 EVEN = "EVEN"
 UNCONSTRAINED = "UNCONSTRAINED"
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    stage: str
-    candidate: str
-    constraint: str
-    value: str
+#: One killed candidate: four strings, read by name; the JSON writes it as an object.
+TraceEntry = namedtuple("TraceEntry", "stage candidate constraint value")
 
 
 @dataclass(frozen=True)
@@ -115,7 +118,7 @@ class CaseReport:
     a: int
     verdict: str  # EMPTY or SOLUTIONS
     solutions: tuple[Solution, ...]
-    trace: tuple[TraceEntry, ...]
+    trace: Table  # of TraceEntry rows
     notes: tuple[str, ...]
 
 
@@ -297,10 +300,12 @@ def classify(
 
     q-admissibility and the Betti options depend on (a, A_X) only, so each is
     computed once per A_X; the trace still lists the q-kills once per state,
-    each entry carrying that state's gamma.  The trace text is written from
-    the integer kill lists; the strings of A_X and gamma are formatted once
-    per A_X and per state.  Every state admits q = 1 (Lemma 1 of the module
-    docstring), so every state is a solution.  `sqrt_gate` rejects a < 1.
+    each row carrying that state's gamma.  The trace is a `Table` of
+    `TraceEntry` rows (stage, candidate, constraint, value), written from the
+    integer kill lists in stage order; the strings of A_X and gamma are
+    formatted once per A_X and per state.  Every state admits q = 1 (Lemma 1
+    of the module docstring), so every state is a solution.  `sqrt_gate`
+    rejects a < 1.
     """
     if betti_table is None:
         betti_table = load_betti_table()
@@ -310,26 +315,16 @@ def classify(
     sqrt_kills: list = []
     ax_values = sqrt_gate(a, killed=sqrt_kills)
     for n288, prod in sqrt_kills:
-        trace.append(
-            TraceEntry(
-                stage="sqrt_gate",
-                candidate=f"A_X={Q(n288, 288)}",
-                constraint="288*a*A_X must be a perfect square (rationality of sqrt(2aA_X))",
-                value=f"{prod} is not a perfect square",
-            )
-        )
+        trace.append(TraceEntry(
+            "sqrt_gate", f"A_X={Q(n288, 288)}",
+            "288*a*A_X must be a perfect square (rationality of sqrt(2aA_X))",
+            f"{prod} is not a perfect square"))
     if restrict_ax is not None:
         restrict_ax = Q(restrict_ax)
         for ax in ax_values:
             if ax != restrict_ax:
-                trace.append(
-                    TraceEntry(
-                        stage="restrict",
-                        candidate=f"A_X={ax}",
-                        constraint="A_X pinned by scenario override",
-                        value=f"override A_X={restrict_ax}",
-                    )
-                )
+                trace.append(TraceEntry("restrict", f"A_X={ax}", "A_X pinned by scenario override",
+                                        f"override A_X={restrict_ax}"))
         ax_values = [ax for ax in ax_values if ax == restrict_ax]
 
     solutions: list[Solution] = []
@@ -339,14 +334,9 @@ def classify(
         states = gamma_search(a, ax, killed=gamma_kills)
         for m, num, den in gamma_kills:
             b_s = str(m // 2) if m % 2 == 0 else f"{m}/2"
-            trace.append(
-                TraceEntry(
-                    stage="gamma_search",
-                    candidate=f"A_X={ax_s}, b={b_s}",
-                    constraint="4*A_X - b^2/(2a) must be an integer",
-                    value=ratio_to_string(num, den),
-                )
-            )
+            trace.append(TraceEntry("gamma_search", f"A_X={ax_s}, b={b_s}",
+                                    "4*A_X - b^2/(2a) must be an integer",
+                                    ratio_to_string(num, den)))
         if not states:
             continue
         q_kills: list = []
@@ -356,14 +346,8 @@ def classify(
         for state in states:
             head = f"A_X={ax_s}, gamma={state.gamma}"
             for q, parity, reason in q_kills:
-                trace.append(
-                    TraceEntry(
-                        stage="admissible_qlm",
-                        candidate=f"{head}, q={q}, parity={parity}",
-                        constraint="P_RR must be integer valued on the value model",
-                        value=reason,
-                    )
-                )
+                trace.append(TraceEntry("admissible_qlm", f"{head}, q={q}, parity={parity}",
+                                        "P_RR must be integer valued on the value model", reason))
             solutions.append(
                 Solution(
                     state=state,
@@ -390,7 +374,7 @@ def classify(
         a=a,
         verdict="SOLUTIONS" if solutions else "EMPTY",
         solutions=tuple(solutions),
-        trace=tuple(trace),
+        trace=Table(trace),
         notes=tuple(notes),
     )
 

@@ -8,32 +8,54 @@ Serialization is two steps, each with one job, and each value goes through
 each step once.  ``to_jsonable`` is the only place that knows engine types.
 It dispatches on the exact type, and its domain is what the commands emit:
 ``str``, ``int``, ``bool``, ``None``, ``dict``, ``list``, ``tuple``,
-``Fraction``, ``RatPoly``, ``RRPolynomial`` and dataclass records.  Anything
-else (a set, a float, a subclass of a built-in type) raises TypeError.  Each
-command converts its payload where it builds it.  ``dumps_canonical`` writes
-plain JSON values and knows nothing else: anything else (a tuple, a rational,
-a float, a key that is not a ``str``, an engine object) raises TypeError.
+``Fraction``, ``RatPoly``, ``RRPolynomial``, dataclass records and tables.
+Anything else (a set, a float, a subclass of a built-in type, a table row
+outside its table) raises TypeError.  Each command converts its payload where
+it builds it.  ``dumps_canonical`` writes plain JSON values and tables, and
+knows nothing else: anything else (a tuple, a rational, a float, a key that
+is not a ``str``, an engine object) raises TypeError.
+
+A ``Table`` is a tuple of rows of one ``namedtuple`` type whose fields are
+all ``str``, such as the classifier's kill trace.  ``to_jsonable`` returns it
+as it is, and ``dumps_canonical`` writes it as a list of objects, one per
+row, keyed by the field names.
 
 Byte contract: for plain JSON values ``plain``, ``dumps_canonical(plain)`` is
 exactly ``json.dumps(plain, sort_keys=True, indent=2) + "\\n"``, that is
 ASCII only (``\\uXXXX`` escapes), keys sorted, two-space indent, ``",\\n"``
 between items and ``": "`` after keys, ``{}`` and ``[]`` for empty
-containers.  The tests hold it to that call as their oracle.  It is not made
-by that call because ``json`` runs its C encoder only without ``indent``, and
-with it every chunk passes through nested Python generators.
+containers.  A table is written as exactly that call writes its expanded
+form, the list of ``row._asdict()`` dicts, and the empty table as ``[]``.
+The tests hold it to that call as their oracle.  It is not made by that call
+because ``json`` runs its C encoder only without ``indent``, and with it
+every chunk passes through nested Python generators.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from fractions import Fraction
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 
 from .fujiki import RRPolynomial
 from .rationals import RatPoly
 
-#: Types whose values are already JSON and are returned as they are.
-_LEAVES = frozenset({str, int, bool, type(None)})
+
+class Table(tuple):
+    """Rows of one ``namedtuple`` type whose fields are all ``str``, written as a list of objects.
+
+    ``to_jsonable`` returns a table as it is.  ``_emit`` builds one template
+    per table, with the fields in sorted key order, and fills it once per row
+    with no per-row dict, sort or type dispatch.
+    """
+
+    __slots__ = ()
+
+
+#: Types whose values are returned as they are: JSON scalars, and tables, already plain.
+_LEAVES = frozenset({str, int, bool, type(None), Table})
 
 #: Field names per dataclass record, filled when ``to_jsonable`` first meets the type.
 _FIELDS: dict[type, tuple[str, ...]] = {}
@@ -65,7 +87,7 @@ def to_jsonable(obj):
 
 
 def dumps_canonical(plain) -> str:
-    """The canonical JSON text of plain JSON values, ending in a newline (see the byte contract)."""
+    """The canonical JSON text of ``plain``, ending in a newline (see the byte contract)."""
     out: list[str] = []
     _emit(plain, out, "\n")
     out.append("\n")
@@ -77,6 +99,7 @@ def _emit(value, out: list[str], newline: str) -> None:
 
     Only dicts and lists recurse; every leaf of a container is written in
     the loop that meets it, in one chunk with the separator and key before it.
+    A table is written in one pass, with no Python code run per row.
     """
     cls = type(value)
     if cls is dict:
@@ -92,7 +115,7 @@ def _emit(value, out: list[str], newline: str) -> None:
                 out.append(head + _quote(item))
             elif cls is int:
                 out.append(head + int.__repr__(item))
-            elif cls is dict or cls is list:
+            elif cls is dict or cls is list or cls is Table:
                 out.append(head)
                 _emit(item, out, inner)
             else:
@@ -111,13 +134,26 @@ def _emit(value, out: list[str], newline: str) -> None:
                 out.append(sep + _quote(item))
             elif cls is int:
                 out.append(sep + int.__repr__(item))
-            elif cls is dict or cls is list:
+            elif cls is dict or cls is list or cls is Table:
                 out.append(sep)
                 _emit(item, out, inner)
             else:
                 out.append(sep + _leaf(item))
             sep = "," + inner
         out.append(newline + "]")
+    elif cls is Table:
+        if not value:
+            out.append("[]")
+            return
+        inner, names = newline + "  ", type(value[0])._fields
+        # one template per table, cut at its cells: a row's opening, then each key with
+        # the quoted cells of its column in sorted key order; zip fills in one row per step
+        streams = [chain(("[" + inner + "{",), repeat(inner + "}," + inner + "{"))]
+        for k, i in enumerate(sorted(range(len(names)), key=names.__getitem__)):
+            streams.append(repeat(("," if k else "") + inner + "  " + _quote(names[i]) + ": "))
+            streams.append(map(_quote, map(itemgetter(i), value)))
+        out.extend(chain.from_iterable(zip(*streams)))
+        out.append(inner + "}" + newline + "]")
     else:
         out.append(_leaf(value))
 

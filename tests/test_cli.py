@@ -651,3 +651,14 @@ class TestScenarioExamplesArguments:
         assert sorted(p.name for p in (tmp_path / outdir).iterdir()) == [
             "dim10_cx945.json", "hyperbolic_cx3.json", "hyperbolic_cx9.json"]
         assert res.stdout.count("\n") == 3
+
+    @pytest.mark.parametrize("outdir", ["afile/sub", "afile", "missing/sub"])
+    def test_unusable_outdir_is_one_error_line_and_writes_nothing(self, tmp_path, outdir):
+        # under a regular file, a regular file itself, and under a missing parent
+        (tmp_path / "afile").write_text("x")
+        res = self.run_script(tmp_path, outdir)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+        assert (tmp_path / "afile").read_text() == "x"

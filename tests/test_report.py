@@ -1,10 +1,12 @@
 """Canonical JSON: the emitter against ``json.dumps(sort_keys=True, indent=2)``.
 
 ``ref`` is a test-only conversion over the domain the commands emit (exact
-built-in types, rationals, polynomials and dataclass records, with string
-keys); it and ``json.dumps`` are the oracle for ``to_jsonable`` and for
-``dumps_canonical``, which takes plain JSON values only and so is fed
-``to_jsonable(x)``.  Outside that domain both sides raise TypeError.
+built-in types, rationals, polynomials, dataclass records and trace tables,
+with string keys); it and ``json.dumps`` are the oracle for ``to_jsonable``
+and for ``dumps_canonical``, which takes plain JSON values only and so is fed
+``to_jsonable(x)``.  ``to_jsonable`` returns a table as it is, so ``expand``
+turns its tables into the list of row dicts that ``ref`` makes and that the
+table's bytes are held to.  Outside that domain both sides raise TypeError.
 """
 
 import dataclasses
@@ -20,7 +22,7 @@ from hk4.classifier import ClassifierState, QOption, TraceEntry, classify
 from hk4.fujiki import RRPolynomial, rr_from_cx_ax, rr_lagrangian_form
 from hk4.ledger import chi_table
 from hk4.rationals import RatPoly
-from hk4.report import approx_decimal, dumps_canonical, to_jsonable
+from hk4.report import Table, approx_decimal, dumps_canonical, to_jsonable
 
 
 def ref(obj):
@@ -40,6 +42,8 @@ def ref(obj):
         return {k: ref(v) for k, v in obj.items()}
     if kind in (list, tuple):
         return [ref(x) for x in obj]
+    if kind is Table:
+        return [{name: ref(cell) for name, cell in row._asdict().items()} for row in obj]
     if dataclasses.is_dataclass(kind):
         return {f.name: ref(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     raise TypeError(f"cannot serialize {kind!r}")
@@ -47,6 +51,18 @@ def ref(obj):
 
 def oracle(obj) -> str:
     return json.dumps(ref(obj), sort_keys=True, indent=2) + "\n"
+
+
+def expand(plain):
+    """Plain values with each table replaced by its list of row dicts, as ``ref`` writes it."""
+    kind = type(plain)
+    if kind is Table:
+        return [row._asdict() for row in plain]
+    if kind is dict:
+        return {k: expand(v) for k, v in plain.items()}
+    if kind is list:
+        return [expand(x) for x in plain]
+    return plain
 
 
 def assert_matches_oracle(value):
@@ -57,7 +73,7 @@ def assert_matches_oracle(value):
         with pytest.raises(TypeError):
             dumps_canonical(to_jsonable(value))
         return
-    assert to_jsonable(value) == ref(value)
+    assert expand(to_jsonable(value)) == ref(value)
     assert dumps_canonical(to_jsonable(value)) == expected
 
 
@@ -95,8 +111,10 @@ RR = (st.builds(rr_lagrangian_form, st.integers(1, 4))
       | st.builds(lambda c_ax: rr_from_cx_ax(*c_ax),  # the pairs with a rational root
                   st.sampled_from([(3, Fraction(25, 32)), (9, Fraction(27, 32)),
                                    (Fraction(1, 2), Fraction(3, 4))])))
+#: Trace tables of 0..5 rows, each cell adversarial text.
+TABLE = st.lists(st.builds(TraceEntry, TEXT, TEXT, TEXT, TEXT), max_size=5).map(Table)
 ENGINE = (
-    st.builds(TraceEntry, TEXT, TEXT, TEXT, TEXT)
+    TABLE
     | st.builds(ClassifierState, st.integers(1, 50), RATIONAL, RATIONAL, RATIONAL, RATIONAL,
                 RATIONAL, POLY)
     | st.builds(QOption, st.integers(1, 4), RATIONAL, st.sampled_from(["EVEN", "UNCONSTRAINED"]),
@@ -124,7 +142,7 @@ class TestAgainstTheJsonDumpsOracle:
     @settings(max_examples=400, deadline=None)
     @given(VALUES)
     def test_same_value_and_same_bytes(self, value):
-        assert to_jsonable(value) == ref(value)
+        assert expand(to_jsonable(value)) == ref(value)
         assert dumps_canonical(to_jsonable(value)) == oracle(value)
 
     @settings(max_examples=100, deadline=None)
@@ -140,6 +158,7 @@ class TestAgainstTheJsonDumpsOracle:
         None, True, False, 0, -1, 10**40, "", "xé\n", Fraction(-3, 4),
         Text("t"), Level.HIGH, Count(7),
         {1: "int", "1": "str"}, {"1": "str", 1: "int"}, {True: 1, 1: 2, "True": 3},
+        Table(), {"t": Table()}, [Table(), Table()],
     ])
     def test_edge_values(self, value):
         # sets, subclasses and non-string keys are outside the domain: both sides raise
@@ -148,12 +167,18 @@ class TestAgainstTheJsonDumpsOracle:
     @pytest.mark.parametrize("a", [1, 3, 4, 36])
     def test_case_reports(self, a):
         case = classify(a)
-        assert to_jsonable(case) == ref(case)
+        assert expand(to_jsonable(case)) == ref(case)
         assert dumps_canonical(to_jsonable(case)) == oracle(case)
 
     def test_ledger(self):
         table = chi_table()
         assert dumps_canonical(to_jsonable(table)) == oracle(table)
+
+    def test_a_table_is_returned_as_it_is_and_the_empty_one_writes_brackets(self):
+        table = classify(4).trace
+        assert type(table) is Table and to_jsonable(table) is table
+        assert dumps_canonical(Table()) == "[]\n"
+        assert dumps_canonical({"trace": Table()}) == '{\n  "trace": []\n}\n'
 
     def test_output_is_ascii(self):
         assert dumps_canonical({"é": ["€", "😀"]}).isascii()
@@ -193,6 +218,9 @@ class TestErrors:
     @pytest.mark.parametrize("value", [
         set(), frozenset(), Text("t"), Level.HIGH, Count(7), {1: "x"},
         {"k": [frozenset({1})]}, [Text("nested")], Pair(Level.LOW, 1),
+        # a row outside its table, and rows in a plain tuple, would otherwise be JSON lists
+        TraceEntry("sqrt_gate", "A_X=25/32", "c", "v"),
+        (TraceEntry("s", "c", "k", "v"), TraceEntry("s2", "c2", "k2", "v2")),
     ])
     def test_values_no_command_emits_raise(self, value):
         with pytest.raises(TypeError):
