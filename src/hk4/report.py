@@ -99,7 +99,7 @@ def _emit(value, out: list[str], newline: str) -> None:
 
     Only dicts and lists recurse; every leaf of a container is written in
     the loop that meets it, in one chunk with the separator and key before it.
-    A table is written in one pass, with no Python code run per row.
+    A table gets one call, which runs no Python code per row.
     """
     cls = type(value)
     if cls is dict:
