@@ -7,8 +7,9 @@ dimension 10) and prints each resulting report summary.
 
 Usage: ``scenario_examples.py [OUTDIR]``, where OUTDIR (default
 ``scenarios``) is created if it does not exist.  Exits 0, 2 on a usage
-error or an OUTDIR that cannot be made a directory (with one ``error:``
-line, before anything is written), or 141 when stdout is closed early.
+error or an OUTDIR that cannot be made a directory or written into (with
+one ``error:`` line, before anything is printed), or 141 when stdout is
+closed early.
 """
 
 import argparse
@@ -52,14 +53,16 @@ def main() -> int:
     parser.add_argument("outdir", nargs="?", default="scenarios",
                         help="directory for the scenario files (default: scenarios)")
     outdir = pathlib.Path(parser.parse_args().outdir)
-    try:
+    paths = {name: outdir / f"{name}.json" for name in SCENARIOS}
+    try:  # every file is written before any scenario runs or prints
         outdir.mkdir(exist_ok=True)
-    except OSError as exc:  # a file in the way, or a missing parent
-        print(f"error: cannot create OUTDIR {str(outdir)!r}: {exc.strerror}", file=sys.stderr)
+        for name, doc in SCENARIOS.items():
+            paths[name].write_text(json.dumps(doc, indent=2) + "\n")
+    except OSError as exc:  # a file in the way, a missing parent, a directory named like a file
+        print(f"error: cannot write the scenarios into OUTDIR {str(outdir)!r}: {exc.strerror}",
+              file=sys.stderr)
         return 2
     for name, doc in SCENARIOS.items():
-        path = outdir / f"{name}.json"
-        path.write_text(json.dumps(doc, indent=2) + "\n")
         out = run_scenario(doc)
         if "classification" in out:
             verdict = out["classification"]["verdict"]
@@ -67,7 +70,7 @@ def main() -> int:
         else:
             rr = out["principal_case"]["rr"]["pretty"] if out["principal_case"] else "-"
             extra = f"principal case, P_RR(T) = {rr}"
-        print(f"{path}: n={out['n']} a={out['a']} -> {extra}")
+        print(f"{paths[name]}: n={out['n']} a={out['a']} -> {extra}")
     return 0
 
 

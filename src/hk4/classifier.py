@@ -235,13 +235,22 @@ def load_betti_table(path: Optional[str] = None) -> list[dict]:
     """Betti data file: JSON array of {"b2": int, "b3": int, "source": str}.
 
     ``b2`` and ``b3`` must be JSON integers: ``23.9``, ``"8"`` and ``true``
-    raise ValueError instead of being read as 23, 8 and 1.
+    raise ValueError instead of being read as 23, 8 and 1.  The built-in file
+    is read and checked once per process and each call gets fresh copies of
+    its entries; a file given by ``path`` is read and checked on every call.
     """
     if path is None:
-        text = resources.files("hk4.data").joinpath("betti.json").read_text()
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        return [dict(entry) for entry in _builtin_betti_table()]
+    with open(path, "r", encoding="utf-8") as fh:
+        return _checked_betti(fh.read())
+
+
+@functools.cache
+def _builtin_betti_table() -> tuple[dict, ...]:
+    return tuple(_checked_betti(resources.files("hk4.data").joinpath("betti.json").read_text()))
+
+
+def _checked_betti(text: str) -> list[dict]:
     data = json.loads(text)
     if not isinstance(data, list):
         raise ValueError("Betti data file must be a JSON array")
@@ -348,14 +357,7 @@ def classify(
             for q, parity, reason in q_kills:
                 trace.append(TraceEntry("admissible_qlm", f"{head}, q={q}, parity={parity}",
                                         "P_RR must be integer valued on the value model", reason))
-            solutions.append(
-                Solution(
-                    state=state,
-                    q_options=admitted,
-                    betti_options=in_table,
-                    betti_builtin_only=builtin_only,
-                )
-            )
+            solutions.append(Solution(state, admitted, in_table, builtin_only))
 
     if solutions:
         # for even a every b is an integer, and an even b was killed (Lemma 2)

@@ -7,7 +7,9 @@ or a not a positive integer); 141 = stdout was closed before the output was
 written (``hk4 classify --a 1000 | head -1``), see ``guard_stdout``.  Every
 outside input (arguments, scenario file, overrides, Betti data, the --json
 path) is parsed at one boundary that raises ``InputError``, and ``main`` alone
-turns it into one ``error:`` line and the exit code.  Each command converts
+turns it into one ``error:`` line and the exit code.  These inputs are read
+on every call; the argument parser and data/expectations.json, which no call
+changes, are built and read once per process.  Each command converts
 its payload to plain JSON once, where it builds it, and serializes it at most
 once, in ``_emit``.
 
@@ -28,6 +30,7 @@ Certificates run serially: pure-Python exact arithmetic gains nothing from threa
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -205,9 +208,13 @@ CERTIFICATES: dict[str, Callable[[], dict]] = {
     "bounds": _certificate(_degree_bounds),
 }
 
+@functools.cache
+def _expectations_text() -> str:
+    return resources.files("hk4.data").joinpath("expectations.json").read_text()
+
+
 def load_expectations() -> dict:
-    text = resources.files("hk4.data").joinpath("expectations.json").read_text()
-    return json.loads(text)
+    return json.loads(_expectations_text())
 
 
 def _subset_diff(expected, computed, path="") -> list[str]:
@@ -501,12 +508,10 @@ def guard_stdout(run: Callable[[], int]) -> int:
     return code
 
 
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = _Parser(
-        prog="hk4",
-        description="Exact-arithmetic certification suite for hyper-Kahler fourfold "
-        "lattice and Riemann-Roch arithmetic.",
-    )
+@functools.cache
+def _parser() -> _Parser:
+    parser = _Parser(prog="hk4", description="Exact-arithmetic certification suite for "
+                     "hyper-Kahler fourfold lattice and Riemann-Roch arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
     out = _Parser(add_help=False)
     out.add_argument("--json", dest="json_path", help="also write the JSON payload here")
@@ -520,8 +525,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_verify.add_argument("name", choices=[*sorted(CERTIFICATES), "all"],
                           help='certificate id or "all"')
 
-    p_scenario = sub.add_parser("scenario", parents=[out],
-                                help="ingest a scenario file and report")
+    p_scenario = sub.add_parser("scenario", parents=[out], help="ingest a scenario file and report")
     p_scenario.add_argument("path")
     p_scenario.add_argument("--betti-data", dest="betti_data")
 
@@ -530,9 +534,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_report = sub.add_parser("report", parents=[out],
                               help="full suite: classifications plus all certificates")
     p_report.add_argument("--betti-data", dest="betti_data")
+    return parser
 
+
+def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return guard_stdout(lambda: _run(args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -48,10 +48,12 @@ class QuadLattice:
 
     def pair(self, v: Sequence, w: Sequence):
         """The bilinear form q(v, w) = v^T G w, summed over the non-zero entries of G."""
-        n = len(self.gram)
-        if len(v) != n or len(w) != n:
+        if not len(v) == len(w) == len(self.gram):
             raise ValueError("vector length does not match lattice rank")
-        return sum(v[i] * g * w[j] for i, j, g in self._nonzero)
+        total = 0  # a plain loop, not sum() over a generator: the same 0 + t1 + t2 ..., faster
+        for i, j, g in self._nonzero:
+            total += v[i] * g * w[j]
+        return total
 
     def q(self, v: Sequence[int]) -> int:
         """The quadratic form q(v) = v^T G v."""

@@ -592,6 +592,66 @@ class TestExpectationsReadOncePerSuite:
         assert len(calls) == 2
 
 
+class TestOneParserPerProcess:
+    def test_one_parser_and_nothing_carries_over_between_calls(self, monkeypatch, tmp_path):
+        import hk4.cli as cli
+
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        cli._parser.cache_clear()  # so that this test sees the one build
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(SMALL))
+        assert run_main("verify", "nope")[0] == 2
+        tree = len(built)  # the root parser, the --json parent and the five commands
+        with pytest.raises(SystemExit) as exit_info, contextlib.redirect_stdout(io.StringIO()):
+            main(["--help"])
+        assert exit_info.value.code == 0
+        first, second = run_main("scenario", str(path)), run_main("scenario", str(path))
+        assert first[0] == second[0] == 0, first[2]
+        assert first[1].encode() == second[1].encode() != b""
+        assert built.count("hk4") == 1 and len(built) == tree
+
+
+class TestPackageDataReadOnce:
+    """The package data is read once per process; no caller sees another's edits."""
+
+    def test_edits_to_what_the_loaders_return_do_not_reach_the_next_caller(self):
+        import hk4.cli as cli
+        from hk4 import classifier
+
+        text = resources.files("hk4.data").joinpath("expectations.json").read_text()
+        expectations = cli.load_expectations()
+        expectations.pop("segre")
+        expectations["bounds"]["squarefree_max"] = 0
+        expectations["appended"] = {}
+        assert cli.load_expectations() == json.loads(text)
+        table = classifier.load_betti_table()
+        table.append({"b2": 3, "b3": 0, "source": "appended"})
+        table[0]["b2"] = 99
+        table.pop(1)
+        assert classifier.load_betti_table() == BETTI
+        assert main(["verify", "bounds"]) == 0
+
+    def test_a_betti_file_given_by_path_is_read_on_every_call(self, tmp_path):
+        betti = tmp_path / "betti.json"
+        betti.write_text(BETTI_TEXT)
+        code, before, _ = run_main("classify", "--a", "3", "--betti-data", str(betti))
+        assert code == 0 and "excluded by data file: [(8, 12, 114)]" in before
+        betti.write_text(json.dumps([*BETTI, {"b2": 8, "b3": 12, "source": "added"}]))
+        code, after, _ = run_main("classify", "--a", "3", "--betti-data", str(betti))
+        assert code == 0 and "excluded by data file" not in after
+        assert "(7, 8, 108), (8, 12, 114)]" in after
+        betti.write_text(json.dumps([dict(BETTI[0], b3="8")]))
+        code, out, err = run_main("classify", "--a", "3", "--betti-data", str(betti))
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
 
 
@@ -651,6 +711,14 @@ class TestScenarioExamplesArguments:
         assert sorted(p.name for p in (tmp_path / outdir).iterdir()) == [
             "dim10_cx945.json", "hyperbolic_cx3.json", "hyperbolic_cx9.json"]
         assert res.stdout.count("\n") == 3
+
+    def test_a_directory_named_like_a_scenario_file_is_one_error_line(self, tmp_path):
+        (tmp_path / "out" / "hyperbolic_cx3.json").mkdir(parents=True)
+        res = self.run_script(tmp_path, "out")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
+        assert [p.name for p in (tmp_path / "out").iterdir()] == ["hyperbolic_cx3.json"]
 
     @pytest.mark.parametrize("outdir", ["afile/sub", "afile", "missing/sub"])
     def test_unusable_outdir_is_one_error_line_and_writes_nothing(self, tmp_path, outdir):

@@ -17,7 +17,7 @@ from hk4.lattices import (
     prime_exceptional_scan,
     reflection_about,
 )
-from hk4.rationals import Q
+from hk4.rationals import Q, RatPoly
 
 
 class TestQuadLattice:
@@ -56,14 +56,22 @@ def _dense_pair(gram, v, w):
     return sum(v[i] * gram[i][j] * w[j] for i in range(n) for j in range(n))
 
 
+#: Coordinates of each type ``pair`` takes, zero among them (``RatPoly()`` is the zero polynomial).
+COORDINATES = {
+    "int": st.integers(-50, 50),
+    "Fraction": st.one_of(st.just(Q(0)), st.fractions(-50, 50, max_denominator=12)),
+    "RatPoly": st.lists(st.fractions(-9, 9, max_denominator=6), max_size=3).map(RatPoly),
+}
+
+
 @st.composite
-def gram_and_vectors(draw):
+def gram_and_vectors(draw, coordinate=COORDINATES["int"]):
     """A symmetric integer Gram matrix of rank 1-4, mostly zero, and two vectors."""
     n = draw(st.integers(1, 4))
     entry = st.one_of(st.just(0), st.just(0), st.integers(-30, 30))
     upper = {(i, j): draw(entry) for i in range(n) for j in range(i, n)}
     gram = tuple(tuple(upper[min(i, j), max(i, j)] for j in range(n)) for i in range(n))
-    vec = st.lists(st.integers(-50, 50), min_size=n, max_size=n)
+    vec = st.lists(coordinate, min_size=n, max_size=n)
     return gram, draw(vec), draw(vec)
 
 
@@ -78,8 +86,30 @@ class TestPairIsTheDenseSum:
         assert type(value) is int
         assert value == _dense_pair(gram, v, w)
 
+    @pytest.mark.parametrize("kind", sorted(COORDINATES))
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_keeps_the_type_of_the_dense_sum(self, kind, data):
+        # the same 0 + t1 + t2 ... as sum(), so an int, a Fraction or a RatPoly comes back
+        gram, v, w = data.draw(gram_and_vectors(COORDINATES[kind]))
+        value, dense = QuadLattice(gram).pair(v, w), _dense_pair(gram, v, w)
+        if any(map(any, gram)):
+            assert type(value) is type(dense)
+            assert value == dense
+        else:  # no term to add: the start value, as sum() of nothing
+            assert type(value) is int and value == 0
+
+    @pytest.mark.parametrize("zero", [0, Q(0), RatPoly()])
+    def test_all_zero_coordinates(self, zero):
+        v = (zero,) * 4
+        value, dense = U2.pair(v, v), _dense_pair(U2.gram, v, v)
+        assert type(value) is type(dense) is type(zero)
+        assert value == dense == zero
+
     def test_zero_gram(self):
         assert QuadLattice(((0, 0), (0, 0))).pair((3, 4), (5, 6)) == 0
+        value = QuadLattice(((0, 0), (0, 0))).pair((Q(1, 2), Q(3)), (Q(5), Q(1, 7)))
+        assert type(value) is int and value == 0
 
     def test_length_check(self):
         with pytest.raises(ValueError):
