@@ -86,7 +86,7 @@ class TestPairIsTheDenseSum:
         assert type(value) is int
         assert value == _dense_pair(gram, v, w)
 
-    @pytest.mark.parametrize("kind", sorted(COORDINATES))
+    @pytest.mark.parametrize("kind", ["Fraction", "RatPoly"])  # ints: test_matches_dense_sum
     @given(data=st.data())
     @settings(max_examples=100)
     def test_keeps_the_type_of_the_dense_sum(self, kind, data):
