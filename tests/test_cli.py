@@ -40,19 +40,22 @@ K3SQ = {
 }
 
 #: sha256 of the file written by ``hk4 scenario PATH --json OUT`` (the same bytes go to
-#: stdout): the three ``scripts/scenario_examples.py`` documents, and an n = 2 document
-#: with ``overrides.a = 1``, which runs all 15 certificates.
+#: stdout): the three ``scripts/scenario_examples.py`` documents, an n = 2 document
+#: with ``overrides.a = 1``, which runs all 15 certificates, and one with ``overrides.a = 64``,
+#: the slowest of the documents that run six.
 SCENARIO_SHA256 = {
     "hyperbolic_cx3": "20f84abc382802689eabd91f9249257729a8c06fff513c051e9c8972c2f2fd7e",
     "hyperbolic_cx9": "0faa1178aea551ccf215cad8bf6980cc6833d35c1522c08ad28f4a42cd764ce8",
     "dim10_cx945": "1a9ff398847f6e387bab1789f93abccda33fac98d23799a95dd1e4b03752b05e",
     "a1": "788e6c6bcc35b0242e40a1311ff5e6e1d8c472b699ab635e79eac0d74e0a25fe",
+    "a64": "eb37e242a3ed34722c0acdeae2a0d99923915ccd6921b14d771d0561f6683457",
 }
 SCENARIO_DOCS = {
     "hyperbolic_cx3": K3SQ,
     "hyperbolic_cx9": dict(K3SQ, overrides={"c_X": "9"}),
     "dim10_cx945": dict(K3SQ, n=5, overrides={"c_X": "945"}),
     "a1": dict(K3SQ, overrides={"a": 1}),
+    "a64": dict(K3SQ, overrides={"a": 64}),
 }
 
 #: sha256 of the file written by ``hk4 ledger --json PATH``.
@@ -218,6 +221,15 @@ class TestScenarioCommand:
         assert res.returncode == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == SCENARIO_SHA256[name]
         assert res.stdout == out.read_text()
+
+    @pytest.mark.parametrize("name", ["hyperbolic_cx9", "a64"])
+    def test_a_warm_process_prints_the_pinned_bytes_twice(self, tmp_path, name):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(SCENARIO_DOCS[name]))
+        first, second = run_main("scenario", str(path)), run_main("scenario", str(path))
+        assert first[0] == second[0] == 0, first[2]
+        assert first[1] == second[1]
+        assert hashlib.sha256(first[1].encode()).hexdigest() == SCENARIO_SHA256[name]
 
     def test_normalization_invariance(self):
         # m -> -m and m -> m + r*l produce the identical classification block
