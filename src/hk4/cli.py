@@ -8,10 +8,11 @@ written (``hk4 classify --a 1000 | head -1``), see ``guard_stdout``.  Every
 outside input (arguments, scenario file, overrides, Betti data, the --json
 path) is parsed at one boundary that raises ``InputError``, and ``main`` alone
 turns it into one ``error:`` line and the exit code.  These inputs are read
-on every call; the argument parser and data/expectations.json, which no call
-changes, are built and read once per process.  Each command converts
-its payload to plain JSON once, where it builds it, and serializes it at most
-once, in ``_emit``.
+on every call.  What no call changes is built once per process: the argument
+parser, data/expectations.json, the built-in Betti table, the reflection
+sample and the guan-gate scan points.  The engine calls run on every suite.
+Each command converts its payload to plain JSON once, where it builds it, and
+serializes it at most once, in ``_emit``.
 
 The 15 certificates form one table, ``CERTIFICATES``, of zero-argument
 functions that return the values a certificate reports.  The three h4
@@ -65,7 +66,10 @@ def _certificate(compute: Callable[[], Any], claim: Optional[Callable[[Any], boo
     otherwise.  ``compute`` looks its engine functions up through their
     modules each time it runs (``ledger.koszul_counts()``, never a reference
     taken at import), so a function rebound on its module, by a tracer or a
-    test, is the one that runs.  Most computations return the dict they
+    test, is the one that runs.  Only fixed inputs are built once per process
+    (the parser, the expectations, the built-in Betti table, the reflection
+    sample and the guan-gate scan points); the engine calls run on every suite,
+    and no result is cached.  Most computations return the dict they
     report; ``fields`` is a view of the result only where a row reports a
     subset, an alias or a reshape of it.
     """
@@ -82,17 +86,20 @@ def _keys(*names: str) -> Callable[[dict], dict]:
     return lambda result: {name: result[name] for name in names}
 
 
+@functools.cache
+def _guan_scan_points() -> tuple[Q, ...]:
+    """The 60 reduced t = num/den in [0, 1/3) with den <= 24, in (den, num) order."""
+    return tuple(Q(num, den) for den in range(1, 25) for num in range(den)
+                 if gcd(num, den) == 1 and 3 * num < den)
+
+
 def _guan_gate_scan() -> dict:
-    # scan in (den, num) order: the hits list keeps it, and expectations.json pins the list
+    # the hits keep the (den, num) order of the points, and expectations.json pins the list
     hits = []
-    for den in range(1, 25):
-        for num in range(0, den):
-            if gcd(num, den) != 1 or 3 * num >= den:  # t = num/den reduced, below 1/3
-                continue
-            t = Q(num, den)
-            admitted = sorted(fujiki.guan_gate(t))
-            if admitted:
-                hits.append({"t": t, "A_X": admitted})
+    for t in _guan_scan_points():
+        admitted = sorted(fujiki.guan_gate(t))
+        if admitted:
+            hits.append({"t": t, "A_X": admitted})
     return {
         "scan": "t = p/q in [0, 1/3) with q <= 24",
         "hits": hits,
@@ -122,18 +129,25 @@ def _cone_scan() -> dict:
             **{f"t0_{t0}": lattices.cone_report(t0) for t0 in (0, 1)}}
 
 
-def _reflection_checks() -> dict:
-    """The reflection in (-1, 1) on its generators and on a fixed-seed sample of 100 classes."""
+@functools.cache
+def _reflection_sample() -> tuple[tuple[int, int], ...]:
+    """The fixed-seed sample of 100 classes that the reflection certificate checks."""
     import random
 
     rng = random.Random(20260810)
-    sample = [(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(100)]
-    refl = lattices.reflection_about((-1, 1))
+    return tuple((rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(100))
+
+
+def _reflection_checks() -> dict:
+    """The reflection in (-1, 1) on its generators and on each sampled class, reflected once."""
+    sample = _reflection_sample()
+    refl, q = lattices.reflection_about((-1, 1)), lattices.U.q
+    images = [refl(v) for v in sample]
     return {
         "swaps_l_m": refl((1, 0)) == (0, 1) and refl((0, 1)) == (1, 0),
         "negates_e": refl((-1, 1)) == (1, -1),
-        "involution_on_sample": all(refl(refl(v)) == v for v in sample),
-        "preserves_q_on_sample": all(lattices.U.q(refl(v)) == lattices.U.q(v) for v in sample),
+        "involution_on_sample": all(refl(w) == v for v, w in zip(sample, images)),
+        "preserves_q_on_sample": all(q(w) == q(v) for v, w in zip(sample, images)),
         "sample_size": len(sample),
     }
 

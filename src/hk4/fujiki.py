@@ -26,8 +26,10 @@ from .rationals import (
 #: window [240, 262] (low-rank branch, 5/6 <= A_X <= 131/144).
 ADMISSIBLE_288AX: tuple[int, ...] = (225,) + tuple(range(240, 263))
 
-#: The admissible A_X values themselves, N/288 for N in ADMISSIBLE_288AX.
+#: The admissible A_X values themselves, N/288 for N in ADMISSIBLE_288AX, and the
+#: pairs (N, N/288) that ``guan_gate`` tests.
 ADMISSIBLE_AX: tuple[Q, ...] = tuple(Q(n, 288) for n in ADMISSIBLE_288AX)
+_ADMISSIBLE_PAIRS = tuple(zip(ADMISSIBLE_288AX, ADMISSIBLE_AX))
 
 
 def a_from_fujiki(n: int, c_X, q_lm) -> Q:
@@ -138,12 +140,15 @@ def guan_gate(t) -> frozenset[Q]:
     the unique hit over all such t is t = 1/8 with A_X = 25/32.  In integers,
     with A_X = N/288 and t = num/den, 4*A_X - t = (N*den - 72*num)/(72*den),
     so the test is (N*den - 72*num) % (72*den) == 0.
+
+    Lemma: that congruence holds modulo den as well, so den | 72*num, and as
+    num/den is in lowest terms, den | 72.  A den that does not divide 72
+    admits no N, and the scan is skipped.
     """
     num, den = Q(t).as_integer_ratio()
     if not (0 <= num and 3 * num < den):
         raise ValueError("guan_gate requires t in [0, 1/3)")
-    return frozenset(
-        ax
-        for n, ax in zip(ADMISSIBLE_288AX, ADMISSIBLE_AX)
-        if (n * den - 72 * num) % (72 * den) == 0
-    )
+    if 72 % den:
+        return frozenset()
+    mod, off = 72 * den, 72 * num
+    return frozenset([ax for n, ax in _ADMISSIBLE_PAIRS if (n * den - off) % mod == 0])

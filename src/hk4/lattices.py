@@ -27,7 +27,7 @@ class QuadLattice:
     result has the coordinates' type (an int on integer vectors).
     """
 
-    __slots__ = ("gram", "_nonzero")
+    __slots__ = ("gram", "rank", "_nonzero")
 
     def __init__(self, gram: Sequence[Sequence]):
         g = tuple(tuple(Q(x) for x in row) for row in gram)
@@ -39,16 +39,12 @@ class QuadLattice:
             raise ValueError("Gram matrix must be square")
         if any(g[i][j] != g[j][i] for i in range(n) for j in range(i)):
             raise ValueError("Gram matrix must be symmetric")
-        self.gram = g
+        self.gram, self.rank = g, n
         self._nonzero = tuple((i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x)
-
-    @property
-    def rank(self) -> int:
-        return len(self.gram)
 
     def pair(self, v: Sequence, w: Sequence):
         """The bilinear form q(v, w) = v^T G w, summed over the non-zero entries of G."""
-        if not len(v) == len(w) == len(self.gram):
+        if len(v) != self.rank or len(w) != self.rank:
             raise ValueError("vector length does not match lattice rank")
         total = 0  # a plain loop, not sum() over a generator: the same 0 + t1 + t2 ..., faster
         for i, j, g in self._nonzero:
@@ -111,8 +107,8 @@ def reflection_about(e: Sequence[int]) -> Callable[[Sequence[int]], Vector]:
         raise ValueError("reflection requires a class of square -2")
 
     def reflect(v: Sequence[int]) -> Vector:
-        c = U.pair(v, e)
-        return tuple(vi + c * ei for vi, ei in zip(v, e))
+        c = U.pair(v, e)  # checks that v has rank 2
+        return (v[0] + c * e[0], v[1] + c * e[1])
 
     return reflect
 

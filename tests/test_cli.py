@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from hk4 import ledger
 from hk4.cli import CERTIFICATES, main, run_certificate, run_scenario, run_suite
+from hk4.rationals import Q
 from hk4.report import dumps_canonical, to_jsonable
 
 
@@ -662,6 +663,55 @@ class TestPackageDataReadOnce:
         betti.write_text(json.dumps([dict(BETTI[0], b3="8")]))
         code, out, err = run_main("classify", "--a", "3", "--betti-data", str(betti))
         assert (code, out) == (2, "") and err.startswith("error: ")
+
+
+class TestFixedInputsBuiltOnce:
+    """The reflection sample and the guan-gate points are built once; no result is cached."""
+
+    SUITE = ["cones", "guan-gate", "reflection"]
+
+    def test_a_rebound_engine_function_fails_its_certificate_after_the_caches_fill(
+            self, monkeypatch):
+        from hk4 import fujiki, lattices
+
+        assert run_suite(self.SUITE)["all_expected_verdicts_reproduced"]
+        scan = lattices.prime_exceptional_scan
+        monkeypatch.setattr(fujiki, "guan_gate", lambda t: frozenset())
+        monkeypatch.setattr(lattices, "reflection_about", lambda e: lambda v: (v[0] + 1, v[1]))
+        monkeypatch.setattr(lattices, "prime_exceptional_scan",
+                            lambda: {**scan(), "prime_exceptional": [(-1, 1)]})
+        certs = run_suite(self.SUITE)["certificates"]
+        # each diff names a value that only the rebound function computes
+        for name, key in [("cones", "prime_exceptional"), ("guan-gate", "hits"),
+                          ("reflection", "involution_on_sample")]:
+            assert certs[name]["result"] == "FAIL", name
+            assert any(d.startswith(f"{name}.{key}:") for d in certs[name]["diffs"]), certs[name]
+        monkeypatch.undo()
+        certs = run_suite(self.SUITE)["certificates"]
+        assert [certs[name]["result"] for name in self.SUITE] == ["PASS"] * 3
+
+    def test_the_reflection_sample_is_the_fixed_seed_draw_built_once(self):
+        import random
+
+        import hk4.cli as cli
+
+        rng = random.Random(20260810)
+        drawn = tuple((rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(100))
+        assert cli._reflection_sample() == drawn
+        hits = cli._reflection_sample.cache_info().hits
+        assert cli._reflection_sample() is cli._reflection_sample()
+        assert cli._reflection_sample.cache_info().hits == hits + 2
+        first, second = cli._reflection_checks(), cli._reflection_checks()
+        assert first == second and first["sample_size"] == 100
+
+    def test_the_guan_gate_points_are_the_reduced_t_below_one_third(self):
+        import hk4.cli as cli
+
+        points = cli._guan_scan_points()
+        assert len(points) == 60 and points == tuple(sorted(points, key=lambda t: (t.denominator, t.numerator)))
+        assert set(points) == {Q(num, den) for den in range(1, 25) for num in range(den)
+                               if 3 * num < den}
+        assert cli._guan_scan_points() is points
 
 
 SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")

@@ -286,3 +286,24 @@ class TestGuanGateIntegerIdentity:
         if t == Q(1, 3):
             return
         assert guan_gate(t) == _guan_gate_reference(t)
+
+
+class TestGuanGateLemma:
+    """With t = num/den in lowest terms, 72*den | N*den - 72*num forces den | 72."""
+
+    def test_every_reduced_t_with_denominator_up_to_240(self):
+        hits = []
+        for den in range(1, 241):
+            for num in range(den):
+                if gcd(num, den) != 1 or 3 * num >= den:
+                    continue
+                t = Q(num, den)
+                # the whole scan, with no early exit on the denominator
+                scan = frozenset([Q(n, 288) for n in ADMISSIBLE_288AX
+                                  if (n * den - 72 * num) % (72 * den) == 0])
+                assert guan_gate(t) == scan, t
+                if 72 % den:
+                    assert scan == frozenset(), t
+                if scan:
+                    hits.append(t)
+        assert hits == [Q(1, 8)]
