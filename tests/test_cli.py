@@ -708,7 +708,8 @@ class TestFixedInputsBuiltOnce:
         import hk4.cli as cli
 
         points = cli._guan_scan_points()
-        assert len(points) == 60 and points == tuple(sorted(points, key=lambda t: (t.denominator, t.numerator)))
+        assert len(points) == 60
+        assert points == tuple(sorted(points, key=lambda t: (t.denominator, t.numerator)))
         assert set(points) == {Q(num, den) for den in range(1, 25) for num in range(den)
                                if 3 * num < den}
         assert cli._guan_scan_points() is points
