@@ -15,7 +15,7 @@ def main() -> int:
     for a in range(1, 9):
         rep = classify(a)
         if rep.verdict == "EMPTY":
-            reasons = {t.stage for t in rep.trace}
+            reasons = {stage for stage, _, rows in rep.trace.runs() if rows}
             print(f"a = {a}: EMPTY  (killed in: {', '.join(sorted(reasons))})")
             continue
         for sol in rep.solutions:

@@ -21,10 +21,12 @@ common denominator.  The trace text is written from those integers too.
 Fractions are built only for what a CaseReport stores: the states, the
 admitted QOptions and their Riemann-Roch polynomials.
 
-The trace is a `report.Table` of `TraceEntry` rows, one per killed
-candidate.  A row is a namedtuple of four strings, read by name: the
-stage, the candidate, the constraint it fails and the value that fails
-it.  The JSON writes each row as an object with those four keys.
+The trace is a `KillTrace`: the integers and strings the stages computed
+(the gate's kills, each scanned A_X with its string, the strings of its
+states' gamma and its q-kills once), not rows.  Rows are made only when the
+trace is written or read: `KillTrace.chunks` writes them from one template per
+stage, for the JSON and for the `classify` text alike, and iterating the
+trace yields `TraceEntry` rows (stage, candidate, constraint, value).
 
 Two facts about the search shape `classify`; both are proved here and
 tested in tests/test_classifier.py.
@@ -53,7 +55,7 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
-from math import isqrt
+from math import gcd, isqrt
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
@@ -71,14 +73,21 @@ from .rationals import (
     sqrt_rational,
     squarefree_part,
 )
-from .report import Table
 
 EVEN = "EVEN"
 UNCONSTRAINED = "UNCONSTRAINED"
 
 
-#: One killed candidate: four strings, read by name; the JSON writes it as an object.
+#: One killed candidate, made only for a caller that reads `CaseReport.trace`.
 TraceEntry = namedtuple("TraceEntry", "stage candidate constraint value")
+
+#: The constraint that each stage's kills fail, in stage order.
+CONSTRAINTS = {
+    "sqrt_gate": "288*a*A_X must be a perfect square (rationality of sqrt(2aA_X))",
+    "restrict": "A_X pinned by scenario override",
+    "gamma_search": "4*A_X - b^2/(2a) must be an integer",
+    "admissible_qlm": "P_RR must be integer valued on the value model",
+}
 
 
 @dataclass(frozen=True)
@@ -113,12 +122,92 @@ class Solution:
     betti_builtin_only: tuple[tuple[int, int, int], ...]
 
 
+class KillTrace:
+    """The kills of one case as the stages computed them; rows are made when written or read.
+
+    ``gate`` holds the N = 288 A_X that the sqrt gate killed.  ``restricted``
+    holds the strings of the A_X that a scenario override skipped, and
+    ``override`` the string of the A_X it pins.  ``blocks`` holds one
+    (A_X, its string, the gamma strings of its states, its q-kills) per
+    scanned A_X, in scan order.  The b-window's kills are not stored: they
+    are the m of `_b_window` that are not states, and `runs` walks the window
+    again when the trace is written or read.
+    """
+
+    __slots__ = ("a", "gate", "restricted", "override", "blocks")
+
+    def __init__(self, a: int, gate: tuple, restricted: tuple = (), override: str = "",
+                 blocks: tuple = ()):
+        self.a, self.gate, self.restricted, self.override, self.blocks = (
+            a, gate, restricted, override, blocks)
+
+    def runs(self, esc=str):
+        """(stage, candidate head, [(candidate tail, value), ...]) per run of rows, in order.
+
+        Rows of one run share their stage and the head of their candidate.
+        ``esc`` is applied to the stored strings in tails and values; a head is
+        returned as it is, for the caller to escape once.  Every other part of a
+        tail or a value is built here from integers and text that JSON writes as
+        it is.  Every m of a window has the parity of a, so b = m/2 is written
+        as m/2 for odd a and as the integer m >> 1 for even a.
+        """
+        a = self.a
+        yield "sqrt_gate", "A_X=", [(ratio_to_string(n, 288), f"{a * n} is not a perfect square")
+                                    for n in self.gate]
+        value = esc(f"override A_X={self.override}")
+        yield "restrict", "A_X=", [(esc(ax_s), value) for ax_s in self.restricted]
+        for ax, ax_s, gammas, q_kills in self.blocks:
+            ms, p, q = _b_window(a, ax)[1:]
+            den = 8 * a * q
+            # the defect num/den in lowest terms, for each m whose defect is not an integer
+            yield "gamma_search", f"A_X={ax_s}, b=", [
+                (f"{m}/2" if a & 1 else str(m >> 1),
+                 str(num // g) if (g := gcd(num, den)) == den else f"{num // g}/{den // g}")
+                for m in ms if (num := p - q * m * m) % den]
+            rows = [(f"{q_lm}, parity={esc(parity)}", esc(reason))
+                    for q_lm, parity, reason in q_kills]
+            for gamma in gammas:
+                yield "admissible_qlm", f"A_X={ax_s}, gamma={gamma}, q=", rows
+
+    def chunks(self, row, esc, sep: str) -> list[str]:
+        """Every row's text, ``sep`` between rows, in chunks of one run each.
+
+        One template per stage, filled once per row: ``row(stage, constraint)``
+        gives the text before a row's candidate, between it and the value, and
+        after the value.  ``esc`` is applied once per run to the candidate's
+        head and to the stored strings of tails and values (see `runs`).  The
+        chunks alternate with ``sep``, so their concatenation is the whole text
+        and no copy of it is made here.
+        """
+        templates = {stage: row(stage, constraint) for stage, constraint in CONSTRAINTS.items()}
+        out: list[str] = []
+        for stage, head, rows in self.runs(esc):
+            if rows:
+                before, between, after = templates[stage]
+                before += esc(head)
+                out += (sep, sep.join([f"{before}{tail}{between}{value}{after}"
+                                       for tail, value in rows]))
+        return out[1:]
+
+    def __iter__(self):
+        for stage, head, rows in self.runs():
+            constraint = CONSTRAINTS[stage]
+            for tail, value in rows:
+                yield TraceEntry(stage, head + tail, constraint, value)
+
+    def __len__(self) -> int:
+        return sum(len(rows) for _, _, rows in self.runs())
+
+    def __getitem__(self, index):
+        return tuple(self)[index]
+
+
 @dataclass(frozen=True)
 class CaseReport:
     a: int
     verdict: str  # EMPTY or SOLUTIONS
     solutions: tuple[Solution, ...]
-    trace: Table  # of TraceEntry rows
+    trace: KillTrace  # iterating it yields TraceEntry rows
     notes: tuple[str, ...]
 
 
@@ -154,15 +243,10 @@ def gamma_search(a: int, A_X: Q, killed: Optional[list] = None) -> list[Classifi
     not reduced (den = 8 a q > 0).
     """
     A_X = Q(A_X)
-    beta = sqrt_rational(8 * a * A_X)
-    if beta is None:
-        raise ValueError("gamma_search requires sqrt(2aA_X) rational; run sqrt_gate first")
-    scaled = 32 * a * A_X
-    p, q = scaled.numerator, scaled.denominator
+    beta, ms, p, q = _b_window(a, A_X)
     den = 8 * a * q
     states = []
-    k0 = math.floor(beta) + 1
-    for m in range(2 * k0 - a, 2 * k0 + a, 2):
+    for m in ms:
         num = p - q * m * m
         if num % den == 0:
             b, c = Q(m, 2), Q(3 - num // den)
@@ -171,6 +255,16 @@ def gamma_search(a: int, A_X: Q, killed: Optional[list] = None) -> list[Classifi
         elif killed is not None:
             killed.append((m, num, den))
     return states
+
+
+def _b_window(a: int, A_X: Q) -> tuple[Q, range, int, int]:
+    """(beta, the m = 2b that `gamma_search` scans, p, q) with p/q = 32 a A_X in lowest terms."""
+    beta = sqrt_rational(8 * a * A_X)
+    if beta is None:
+        raise ValueError("gamma_search requires sqrt(2aA_X) rational; run sqrt_gate first")
+    scaled = 32 * a * A_X
+    k0 = math.floor(beta) + 1
+    return beta, range(2 * k0 - a, 2 * k0 + a, 2), scaled.numerator, scaled.denominator
 
 
 def admissible_qlm(a: int, A_X: Q, killed: Optional[list] = None) -> dict[int, QOption]:
@@ -309,55 +403,36 @@ def classify(
 
     q-admissibility and the Betti options depend on (a, A_X) only, so each is
     computed once per A_X; the trace still lists the q-kills once per state,
-    each row carrying that state's gamma.  The trace is a `Table` of
-    `TraceEntry` rows (stage, candidate, constraint, value), written from the
-    integer kill lists in stage order; the strings of A_X and gamma are
-    formatted once per A_X and per state.  Every state admits q = 1 (Lemma 1
-    of the module docstring), so every state is a solution.  `sqrt_gate`
-    rejects a < 1.
+    each row carrying that state's gamma.  The trace is a `KillTrace` of what
+    the stages computed, with the strings of A_X and gamma formatted once per
+    A_X and per state; its rows are made only when it is written or read.
+    Every state admits q = 1 (Lemma 1 of the module docstring), so every state
+    is a solution.  `sqrt_gate` rejects a < 1.
     """
     if betti_table is None:
         betti_table = load_betti_table()
-    trace: list[TraceEntry] = []
     notes: list[str] = []
 
-    sqrt_kills: list = []
-    ax_values = sqrt_gate(a, killed=sqrt_kills)
-    for n288, prod in sqrt_kills:
-        trace.append(TraceEntry(
-            "sqrt_gate", f"A_X={Q(n288, 288)}",
-            "288*a*A_X must be a perfect square (rationality of sqrt(2aA_X))",
-            f"{prod} is not a perfect square"))
+    gate_kills: list = []
+    ax_values = sqrt_gate(a, killed=gate_kills)
+    restricted, override = (), ""
     if restrict_ax is not None:
         restrict_ax = Q(restrict_ax)
-        for ax in ax_values:
-            if ax != restrict_ax:
-                trace.append(TraceEntry("restrict", f"A_X={ax}", "A_X pinned by scenario override",
-                                        f"override A_X={restrict_ax}"))
+        restricted = tuple(str(ax) for ax in ax_values if ax != restrict_ax)
+        override = str(restrict_ax)
         ax_values = [ax for ax in ax_values if ax == restrict_ax]
 
     solutions: list[Solution] = []
+    blocks = []
     for ax in ax_values:
-        ax_s = str(ax)
-        gamma_kills: list = []
-        states = gamma_search(a, ax, killed=gamma_kills)
-        for m, num, den in gamma_kills:
-            b_s = str(m // 2) if m % 2 == 0 else f"{m}/2"
-            trace.append(TraceEntry("gamma_search", f"A_X={ax_s}, b={b_s}",
-                                    "4*A_X - b^2/(2a) must be an integer",
-                                    ratio_to_string(num, den)))
-        if not states:
-            continue
+        states = gamma_search(a, ax)
         q_kills: list = []
-        q_options = admissible_qlm(a, ax, killed=q_kills)
-        admitted = tuple(q_options[q] for q in sorted(q_options))
-        in_table, builtin_only = map(tuple, betti_options_for(ax, betti_table))
-        for state in states:
-            head = f"A_X={ax_s}, gamma={state.gamma}"
-            for q, parity, reason in q_kills:
-                trace.append(TraceEntry("admissible_qlm", f"{head}, q={q}, parity={parity}",
-                                        "P_RR must be integer valued on the value model", reason))
-            solutions.append(Solution(state, admitted, in_table, builtin_only))
+        if states:
+            q_options = admissible_qlm(a, ax, killed=q_kills)
+            admitted = tuple(q_options[q] for q in sorted(q_options))
+            in_table, builtin_only = map(tuple, betti_options_for(ax, betti_table))
+            solutions += [Solution(state, admitted, in_table, builtin_only) for state in states]
+        blocks.append((ax, str(ax), tuple(str(state.gamma) for state in states), tuple(q_kills)))
 
     if solutions:
         # for even a every b is an integer, and an even b was killed (Lemma 2)
@@ -376,7 +451,7 @@ def classify(
         a=a,
         verdict="SOLUTIONS" if solutions else "EMPTY",
         solutions=tuple(solutions),
-        trace=Table(trace),
+        trace=KillTrace(a, tuple(n for n, _ in gate_kills), restricted, override, tuple(blocks)),
         notes=tuple(notes),
     )
 

@@ -303,10 +303,13 @@ def _print_case_report(report: classifier.CaseReport, decimal: bool) -> None:
                   f"{list(sol.betti_builtin_only)}")
     for note in report.notes:
         print(f"  note: {note}")
-    if report.trace:
+    # one line per row, from the same templates as the JSON: "[stage] candidate | constraint | value"
+    chunks = report.trace.chunks(
+        lambda stage, constraint: (f"    [{stage}] ", f" | {constraint} | ", ""), str, "\n")
+    if chunks:
         print("  trace:")
-        for t in report.trace:
-            print(f"    [{t.stage}] {t.candidate} | {t.constraint} | {t.value}")
+        sys.stdout.writelines(chunks)
+        print()
 
 
 # ---------------------------------------------------------------------------
@@ -434,10 +437,12 @@ def run_scenario(doc: dict, betti_path: Optional[str] = None) -> dict:
 # commands and the one output path
 
 
-def _emit(args, payload, echo: bool = True) -> None:
+def _emit(args, payload, echo: bool = True, before: str = "") -> None:
     """Serialize ``payload`` at most once: the same string goes to --json and, if echo, stdout.
 
     ``payload`` holds plain JSON values only; each command converts its own.
+    The --json file is written before anything is printed, so an unwritable
+    path prints nothing; ``before`` is text that stdout gets ahead of the JSON.
     """
     data = dumps_canonical(payload) if echo or args.json_path else ""
     if args.json_path:
@@ -446,7 +451,7 @@ def _emit(args, payload, echo: bool = True) -> None:
         except OSError as exc:
             raise InputError(f"cannot write --json {args.json_path!r}: {exc!r}")
     if echo:
-        print(data, end="")
+        print(before + data, end="")
 
 
 def _run(args) -> int:
@@ -484,8 +489,7 @@ def _run(args) -> int:
 
     if args.command == "ledger":
         t = ledger.chi_table()
-        print(ledger.to_markdown(t) + "\n")
-        _emit(args, to_jsonable(t))
+        _emit(args, to_jsonable(t), before=ledger.to_markdown(t) + "\n\n")
         return EXIT_OK
 
     table = _load("Betti data", classifier.load_betti_table, args.betti_data)  # report

@@ -1,6 +1,7 @@
 """Bounded case analysis: gates, window scans, full classification per a."""
 
 import hashlib
+import json
 import math
 from math import isqrt
 
@@ -12,6 +13,8 @@ from hk4 import classifier
 from hk4.classifier import (
     EVEN,
     UNCONSTRAINED,
+    KillTrace,
+    TraceEntry,
     _betti_grid,
     admissible_qlm,
     betti_options_for,
@@ -24,7 +27,14 @@ from hk4.classifier import (
 )
 from hk4.cli import case_report_json
 from hk4.fujiki import ADMISSIBLE_288AX, ADMISSIBLE_AX, betti_profile, rr_from_cx_ax
-from hk4.rationals import Q, integrality_witness, is_integer, sqrt_rational, squarefree_part
+from hk4.rationals import (
+    Q,
+    integrality_witness,
+    is_integer,
+    ratio_to_string,
+    sqrt_rational,
+    squarefree_part,
+)
 from hk4.report import dumps_canonical
 
 #: a <= 3000 that pass the sqrt gate, the only ones with a b-window to scan.
@@ -336,6 +346,31 @@ class TestClassify:
         rep = classify(36)  # two A_X, with 6 and 2 states
         assert len(rep.solutions) == 8
         assert calls == {"admissible_qlm": 2, "betti_options_for": 2}
+
+    def test_the_trace_reads_as_a_sequence_of_rows(self):
+        case = classify(36)
+        rows = list(case.trace)
+        assert len(case.trace) == len(rows) == 154 and case.trace
+        assert all(type(row) is TraceEntry for row in rows)
+        assert case.trace[0] == rows[0] and case.trace[1:] == tuple(rows[1:])
+        assert not KillTrace(1, ())
+
+    def test_the_written_trace_is_the_rows_it_yields_up_to_3000(self):
+        # every gate-passing a <= 3000, and each a with two or more A_X pinned to its last A_X;
+        # the b-window rows are the kills that gamma_search lists, in scan order
+        for a in GATED_A:
+            passing = sqrt_gate(a)
+            for scanned in [passing] + [passing[-1:]] * (len(passing) > 1):
+                case = classify(a, restrict_ax=None if scanned is passing else scanned[0])
+                rows = list(case.trace)
+                assert json.loads(dumps_canonical(case.trace)) == [
+                    dict(zip(TraceEntry._fields, r)) for r in rows], a
+                killed = []
+                for ax in scanned:
+                    gamma_search(a, ax, killed=killed)
+                assert [(r.candidate.split("b=")[1], r.value) for r in rows
+                        if r.stage == "gamma_search"] == [
+                    (ratio_to_string(m, 2), ratio_to_string(num, den)) for m, num, den in killed], a
 
 
 #: a = squarefree_part(N) * k^2 <= 10^5 for an admissible N = 288*A_X: a*N is a square.

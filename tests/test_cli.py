@@ -59,6 +59,10 @@ SCENARIO_DOCS = {
     "a64": dict(K3SQ, overrides={"a": 64}),
 }
 
+#: sha256 of the file written by ``hk4 classify --a 1000 --json PATH``, the bytes that
+#: tests/test_classifier.py pins for a = 1000.
+CLASSIFY_1000_SHA256 = "b1f31cea9c026c60215dd3c9776d7f5724592bc2e8b476e6cb4782037358ef68"
+
 #: sha256 of the file written by ``hk4 ledger --json PATH``.
 LEDGER_SHA256 = "a3ee0e7ac088eabcadc6c10445bba2d21b24a94c54a54b10f17800bb4418a78b"
 
@@ -300,6 +304,22 @@ class TestReportCommand:
         run_cli("report", "--json", str(a))
         run_cli("report", "--json", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("env, flags", [
+        ({"PYTHONHASHSEED": "0"}, []),
+        ({"PYTHONHASHSEED": "1"}, []),
+        ({}, ["-X", "dev", "-W", "error"]),
+    ], ids=["hashseed0", "hashseed1", "dev-W-error"])
+    def test_pinned_bytes_under_other_interpreter_settings(self, tmp_path, env, flags):
+        # no output may depend on hash order, and dev mode turns every warning into an error
+        out = tmp_path / "out.json"
+        for argv, digest in ((["classify", "--a", "1000"], CLASSIFY_1000_SHA256),
+                             (["report"], REPORT_SHA256)):
+            res = subprocess.run([sys.executable, *flags, "-m", "hk4", *argv, "--json", str(out)],
+                                 env=dict(os.environ, **env), capture_output=True, text=True,
+                                 timeout=60)
+            assert res.returncode == 0 and res.stderr == "", res.stderr
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
     def test_same_bytes_and_verdicts_under_python_O(self, tmp_path):
         # `python -O` strips assert statements, so no verdict may depend on one
@@ -548,6 +568,41 @@ class TestOutputPath:
         assert code == 0
         assert len(calls) == 1
         assert out.endswith(target.read_text()) == echo
+
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--a", "1"],
+        ["verify", "bounds"],
+        ["scenario", "SCENARIO"],
+        ["ledger"],
+        ["report"],
+    ])
+    def test_an_unwritable_json_path_prints_nothing_and_exits_2(self, tmp_path, argv):
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(SMALL))
+        argv = [str(scenario) if a == "SCENARIO" else a for a in argv]
+        code, out, err = run_main(*argv, "--json", str(tmp_path))  # a directory
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write --json") and err.count("\n") == 1, err
+
+
+class TestNoTraceRows:
+    def test_no_command_builds_a_trace_row(self, tmp_path, monkeypatch, capsys):
+        import hk4.classifier as classifier
+
+        made, real = [], classifier.TraceEntry
+        monkeypatch.setattr(classifier, "TraceEntry",
+                            lambda *cells: made.append(cells) or real(*cells))
+        rows = list(classifier.classify(4).trace)  # reading the trace makes its rows
+        assert rows and len(made) == len(rows)
+        made.clear()
+        scenario = tmp_path / "s.json"
+        scenario.write_text(json.dumps(dict(K3SQ, overrides={"a": 36, "A_X": "25/32"})))
+        assert main(["classify", "--a", "1000", "--json", str(tmp_path / "c.json")]) == 0
+        assert main(["report"]) == 0
+        assert main(["scenario", str(scenario)]) == 0
+        assert "restrict" in capsys.readouterr().out
+        assert made == []
 
 
 class TestBettiIntegers:
