@@ -136,8 +136,7 @@ class KillTrace:
 
     __slots__ = ("a", "gate", "restricted", "override", "blocks")
 
-    def __init__(self, a: int, gate: tuple, restricted: tuple = (), override: str = "",
-                 blocks: tuple = ()):
+    def __init__(self, a: int, gate: tuple, restricted: tuple, override: str, blocks: tuple):
         self.a, self.gate, self.restricted, self.override, self.blocks = (
             a, gate, restricted, override, blocks)
 

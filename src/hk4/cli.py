@@ -303,7 +303,7 @@ def _print_case_report(report: classifier.CaseReport, decimal: bool) -> None:
                   f"{list(sol.betti_builtin_only)}")
     for note in report.notes:
         print(f"  note: {note}")
-    # one line per row, from the same templates as the JSON: "[stage] candidate | constraint | value"
+    # one line per row, "[stage] candidate | constraint | value", by the writer the JSON uses
     chunks = report.trace.chunks(
         lambda stage, constraint: (f"    [{stage}] ", f" | {constraint} | ", ""), str, "\n")
     if chunks:

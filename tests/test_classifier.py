@@ -353,7 +353,7 @@ class TestClassify:
         assert len(case.trace) == len(rows) == 154 and case.trace
         assert all(type(row) is TraceEntry for row in rows)
         assert case.trace[0] == rows[0] and case.trace[1:] == tuple(rows[1:])
-        assert not KillTrace(1, ())
+        assert not KillTrace(1, (), (), "", ())
 
     def test_the_written_trace_is_the_rows_it_yields_up_to_3000(self):
         # every gate-passing a <= 3000, and each a with two or more A_X pinned to its last A_X;

@@ -137,6 +137,7 @@ def kill_traces(draw):
 
 
 TRACE = kill_traces()
+EMPTY_TRACE = KillTrace(1, (), (), "", ())
 ENGINE = (
     TRACE
     | st.builds(ClassifierState, st.integers(1, 50), RATIONAL, RATIONAL, RATIONAL, RATIONAL,
@@ -182,7 +183,7 @@ class TestAgainstTheJsonDumpsOracle:
         None, True, False, 0, -1, 10**40, "", "xé\n", Fraction(-3, 4),
         Text("t"), Level.HIGH, Count(7),
         {1: "int", "1": "str"}, {"1": "str", 1: "int"}, {True: 1, 1: 2, "True": 3},
-        KillTrace(1, ()), {"t": KillTrace(1, ())}, [KillTrace(1, ()), KillTrace(1, ())],
+        EMPTY_TRACE, {"t": EMPTY_TRACE}, [EMPTY_TRACE, EMPTY_TRACE],
     ])
     def test_edge_values(self, value):
         # sets, subclasses and non-string keys are outside the domain: both sides raise
