@@ -569,7 +569,6 @@ class TestOutputPath:
         assert len(calls) == 1
         assert out.endswith(target.read_text()) == echo
 
-
     @pytest.mark.parametrize("argv", [
         ["classify", "--a", "1"],
         ["verify", "bounds"],
