@@ -42,14 +42,15 @@ K3SQ = {
 
 #: sha256 of the file written by ``hk4 scenario PATH --json OUT`` (the same bytes go to
 #: stdout): the three ``scripts/scenario_examples.py`` documents, an n = 2 document
-#: with ``overrides.a = 1``, which runs all 15 certificates, and one with ``overrides.a = 64``,
-#: the slowest of the documents that run six.
+#: with ``overrides.a = 1``, which runs all 15 certificates, one with ``overrides.a = 64``,
+#: the slowest of the documents that run six, and the principal case at n = 200.
 SCENARIO_SHA256 = {
     "hyperbolic_cx3": "20f84abc382802689eabd91f9249257729a8c06fff513c051e9c8972c2f2fd7e",
     "hyperbolic_cx9": "0faa1178aea551ccf215cad8bf6980cc6833d35c1522c08ad28f4a42cd764ce8",
     "dim10_cx945": "1a9ff398847f6e387bab1789f93abccda33fac98d23799a95dd1e4b03752b05e",
     "a1": "788e6c6bcc35b0242e40a1311ff5e6e1d8c472b699ab635e79eac0d74e0a25fe",
     "a64": "eb37e242a3ed34722c0acdeae2a0d99923915ccd6921b14d771d0561f6683457",
+    "principal_n200": "386b6cf384096a70a0ed78d81d12a953f3c7b381af57adc2e4595f5109fd80da",
 }
 SCENARIO_DOCS = {
     "hyperbolic_cx3": K3SQ,
@@ -57,6 +58,7 @@ SCENARIO_DOCS = {
     "dim10_cx945": dict(K3SQ, n=5, overrides={"c_X": "945"}),
     "a1": dict(K3SQ, overrides={"a": 1}),
     "a64": dict(K3SQ, overrides={"a": 64}),
+    "principal_n200": dict(K3SQ, n=200, overrides={"a": "1"}),
 }
 
 #: sha256 of the file written by ``hk4 classify --a 1000 --json PATH``, the bytes that

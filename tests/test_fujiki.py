@@ -160,7 +160,7 @@ def fibration_form(n, d, q_lm, q_m) -> RRPolynomial:
 
 
 class TestRRLagrangianForm:
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", [*range(1, 61), 100, 200, 400])
     def test_is_the_general_form_at_the_principal_case(self, n):
         rr, general = rr_lagrangian_form(n), fibration_form(n, 1, 1, 0)
         assert (rr.n, rr.base) == (general.n, general.base)
