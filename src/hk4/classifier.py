@@ -228,7 +228,7 @@ def sqrt_gate(a: int, killed: Optional[list] = None) -> list[Q]:
     return out
 
 
-def gamma_search(a: int, A_X: Q, killed: Optional[list] = None) -> list[ClassifierState]:
+def gamma_search(a: int, A_X: Q) -> list[ClassifierState]:
     """Scan the finite b-window (beta - a/2, beta + a/2] forced by gamma in (-1, 1].
 
     Candidates step by 1 from the residue forced by a/2 + b in Z, so b = k - a/2
@@ -237,9 +237,9 @@ def gamma_search(a: int, A_X: Q, killed: Optional[list] = None) -> list[Classifi
     4 A_X - b^2/(2a) is an integer, which makes c = 3 - that value integral.
     With m = 2k - a (so b = m/2) and p/q = 32 a A_X in lowest terms,
     4 A_X - b^2/(2a) = (p - q m^2) / (8 a q), so the test runs on integers and
-    Fractions are built only for the surviving states.  Killed candidates go
-    to `killed` as integers (m, num, den): b = m/2 and the defect is num/den,
-    not reduced (den = 8 a q > 0).
+    Fractions are built only for the surviving states.  The killed candidates
+    are not listed here: `KillTrace.runs` walks the same window when the trace
+    is written or read.
     """
     A_X = Q(A_X)
     beta, ms, p, q = _b_window(a, A_X)
@@ -251,8 +251,6 @@ def gamma_search(a: int, A_X: Q, killed: Optional[list] = None) -> list[Classifi
             b, c = Q(m, 2), Q(3 - num // den)
             states.append(ClassifierState(a=a, A_X=A_X, beta=beta, gamma=2 * (b - beta) / a, b=b,
                                           c=c, value_poly=RatPoly((c, b, Q(a, 2)))))
-        elif killed is not None:
-            killed.append((m, num, den))
     return states
 
 

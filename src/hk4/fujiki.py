@@ -16,7 +16,6 @@ from .lattices import U
 from .rationals import (
     Q,
     RatPoly,
-    binom_poly,
     is_integer,
     sqrt_rational,
 )
@@ -94,9 +93,17 @@ def rr_lagrangian_form(n: int) -> RRPolynomial:
     """binom(T/2 + n + 1, n), the polynomial of a principally polarized fibration.
 
     This is the fibration form binom(d + (T - q(m))/(2 q(l,m)) + n, n) at
-    d = 1, q(l,m) = 1, q(m) = 0, the only case a command reports.
+    d = 1, q(l,m) = 1, q(m) = 0, the only case a command reports.  As
+    binom(T/2 + n + 1, n) = prod_{i<n} (T + 2(n + 1 - i)) / (2^n n!), the
+    product is multiplied out over the integers and each coefficient is
+    divided once.
     """
-    return RRPolynomial(base=binom_poly(RatPoly((Q(n + 1), Q(1, 2))), n), n=n)
+    coeffs = [1]  # lowest degree first
+    for i in range(n):
+        c = 2 * (n + 1 - i)  # times (T + c)
+        coeffs = [c * x + y for x, y in zip(coeffs + [0], [0] + coeffs)]
+    den = 2**n * factorial(n)
+    return RRPolynomial(base=RatPoly(Q(x, den) for x in coeffs), n=n)
 
 
 def betti_profile(b2: int, b3: int) -> dict:

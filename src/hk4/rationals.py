@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from math import gcd, isqrt
 from typing import Optional
 
 Q = Fraction  # the only scalar type in the engine
@@ -70,21 +70,6 @@ def squarefree_part(n: int) -> int:
             part *= d
         d += 1
     return part * n
-
-
-def binom(x, k: int) -> Q:
-    """Generalized binomial coefficient: prod_{i=0}^{k-1} (x - i) / k!.
-
-    x may be any rational; agrees with the integer binomial for integer
-    x >= k >= 0.
-    """
-    if k < 0:
-        raise ValueError("binom requires k >= 0")
-    num = Q(1)
-    x = Q(x)
-    for i in range(k):
-        num *= x - i
-    return num / factorial(k)
 
 
 def divisors(n: int) -> list[int]:
@@ -222,14 +207,6 @@ class RatPoly:
             else:
                 parts.append(term)
         return " ".join(parts)
-
-
-def binom_poly(x: RatPoly, k: int) -> RatPoly:
-    """binom(x, k) where x is itself a polynomial: prod (x - i) / k!."""
-    out = RatPoly.constant(Q(1))
-    for i in range(k):
-        out = out * (x - Q(i))
-    return out * Q(1, factorial(k))
 
 
 def is_integer(x) -> bool:

@@ -31,7 +31,6 @@ from hk4.rationals import (
     Q,
     integrality_witness,
     is_integer,
-    ratio_to_string,
     sqrt_rational,
     squarefree_part,
 )
@@ -62,10 +61,15 @@ def reference_gamma_search(a, A_X):
     return states, killed
 
 
-def as_fractions(killed):
-    """The integer b-window kills (m, num, den) as (b, defect) = (m/2, num/den)."""
-    assert all(type(x) is int for triple in killed for x in triple)
-    return [(Q(m, 2), Q(num, den)) for m, num, den in killed]
+def window_rows(trace):
+    """The trace's b-window rows as (candidate, value) strings, in order."""
+    return [(row.candidate, row.value) for row in trace if row.stage == "gamma_search"]
+
+
+def reference_window_rows(a, scanned):
+    """The rows of `reference_gamma_search`'s kills for each A_X of ``scanned``, in order."""
+    return [(f"A_X={ax}, b={b}", str(defect))
+            for ax in scanned for b, defect in reference_gamma_search(a, ax)[1]]
 
 
 def reference_admissible_qlm(a, A_X):
@@ -135,10 +139,10 @@ class TestGammaSearch:
         assert (st.gamma, st.b, st.c, st.beta) == (0, Q(5, 2), 3, Q(5, 2))
 
     def test_a1_spurious_ax_killed(self):
-        killed = []
-        states = gamma_search(1, Q(8, 9), killed=killed)
-        assert states == []
-        assert as_fractions(killed) == [(Q(5, 2), Q(31, 72))]
+        assert gamma_search(1, Q(8, 9)) == []
+        # A_X = 25/32 scans first; its one candidate is a state
+        assert window_rows(classify(1).trace) == reference_window_rows(1, [Q(8, 9)]) == [
+            ("A_X=8/9, b=5/2", "31/72")]
 
     def test_a4_two_states(self):
         states = gamma_search(4, Q(25, 32))
@@ -171,11 +175,9 @@ class TestGammaSearch:
     @given(st.sampled_from(GATED_A))
     def test_integer_window_matches_fraction_reference(self, a):
         for ax in sqrt_gate(a):
-            killed = []
-            states = gamma_search(a, ax, killed=killed)
-            ref_states, ref_killed = reference_gamma_search(a, ax)
-            assert [(s.b, s.c, s.gamma) for s in states] == ref_states
-            assert as_fractions(killed) == ref_killed
+            assert [(s.b, s.c, s.gamma) for s in gamma_search(a, ax)] == (
+                reference_gamma_search(a, ax)[0])
+        assert window_rows(classify(a).trace) == reference_window_rows(a, sqrt_gate(a))
 
 
 class TestAdmissibleQlm:
@@ -357,7 +359,7 @@ class TestClassify:
 
     def test_the_written_trace_is_the_rows_it_yields_up_to_3000(self):
         # every gate-passing a <= 3000, and each a with two or more A_X pinned to its last A_X;
-        # the b-window rows are the kills that gamma_search lists, in scan order
+        # the b-window rows are the kills of the Fraction reference scan, in scan order
         for a in GATED_A:
             passing = sqrt_gate(a)
             for scanned in [passing] + [passing[-1:]] * (len(passing) > 1):
@@ -365,12 +367,7 @@ class TestClassify:
                 rows = list(case.trace)
                 assert json.loads(dumps_canonical(case.trace)) == [
                     dict(zip(TraceEntry._fields, r)) for r in rows], a
-                killed = []
-                for ax in scanned:
-                    gamma_search(a, ax, killed=killed)
-                assert [(r.candidate.split("b=")[1], r.value) for r in rows
-                        if r.stage == "gamma_search"] == [
-                    (ratio_to_string(m, 2), ratio_to_string(num, den)) for m, num, den in killed], a
+                assert window_rows(rows) == reference_window_rows(a, scanned), a
 
 
 #: a = squarefree_part(N) * k^2 <= 10^5 for an admissible N = 288*A_X: a*N is a square.

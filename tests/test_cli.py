@@ -311,9 +311,11 @@ class TestReportCommand:
         ({"PYTHONHASHSEED": "0"}, []),
         ({"PYTHONHASHSEED": "1"}, []),
         ({}, ["-X", "dev", "-W", "error"]),
-    ], ids=["hashseed0", "hashseed1", "dev-W-error"])
+        ({}, ["-OO"]),
+    ], ids=["hashseed0", "hashseed1", "dev-W-error", "OO"])
     def test_pinned_bytes_under_other_interpreter_settings(self, tmp_path, env, flags):
-        # no output may depend on hash order, and dev mode turns every warning into an error
+        # no output may depend on hash order, dev mode turns every warning into an error,
+        # and -OO strips docstrings
         out = tmp_path / "out.json"
         for argv, digest in ((["classify", "--a", "1000"], CLASSIFY_1000_SHA256),
                              (["report"], REPORT_SHA256)):

@@ -2,7 +2,7 @@
 
 import itertools
 import random
-from math import factorial, gcd
+from math import factorial, gcd, prod
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +22,7 @@ from hk4.fujiki import (
     rr_lagrangian_form,
 )
 from hk4.lattices import U, QuadLattice
-from hk4.rationals import Q, RatPoly, binom_poly, integer_valued_on, is_integer
+from hk4.rationals import Q, RatPoly, integer_valued_on, is_integer
 
 
 def rr_violations(rr) -> tuple[str, ...]:
@@ -154,9 +154,13 @@ class TestRRFromCxAx:
 
 
 def fibration_form(n, d, q_lm, q_m) -> RRPolynomial:
-    """Test-only oracle: the general fibration form binom(d + (T - q(m))/(2 q(l,m)) + n, n)."""
+    """Test-only oracle: the general fibration form binom(d + (T - q(m))/(2 q(l,m)) + n, n),
+    multiplied out as prod_{i<n} (x - i) / n! in Fraction coefficients."""
     x = RatPoly((Q(d + n) - Q(q_m, 2 * q_lm), Q(1, 2 * q_lm)))
-    return RRPolynomial(base=binom_poly(x, n), n=n)
+    base = RatPoly.constant(Q(1))
+    for i in range(n):
+        base = base * (x - i)
+    return RRPolynomial(base=base * Q(1, factorial(n)), n=n)
 
 
 class TestRRLagrangianForm:
@@ -173,11 +177,9 @@ class TestRRLagrangianForm:
         rr = rr_lagrangian_form(5)
         assert rr.c_X == 945
         assert rr.base.coefficient(0) == 6
-        # spot values: binom(k + 6, 5) at T = 2k
-        from hk4.rationals import binom
-
+        # spot values: binom(k + 6, 5) = (k + 6)(k + 5)...(k + 2)/5! at T = 2k, for every integer k
         for k in range(-8, 9):
-            assert rr(2 * k) == binom(k + 6, 5)
+            assert rr(2 * k) == prod(range(k + 2, k + 7)) // factorial(5)
 
     def test_constant_term_gate(self):
         rr = fibration_form(2, 0, 1, 0)

@@ -18,7 +18,12 @@ from hk4.ledger import (
     segre_row,
     to_markdown,
 )
-from hk4.rationals import Q, binom
+from hk4.rationals import Q
+
+
+def chi_formula(pq: int) -> int:
+    """binom(pq + 3, 2) in integers, the generalized binomial for every integer pq."""
+    return (pq + 3) * (pq + 2) // 2
 
 
 def chi_by_pq(table: dict) -> dict:
@@ -49,11 +54,11 @@ class TestChiTable:
         # chi(L^p M^q) = P_RR(q(pl + qm)) = P_RR(2pq), pinned or not
         for p in range(-6, 7):
             for q in range(-6, 7):
-                assert RR(2 * p * q) == binom(p * q + 3, 2)
+                assert RR(2 * p * q) == chi_formula(p * q)
                 assert RR(2 * p * q) == RR(U.q((p, q)))
         for (p, q), e in chi_by_pq(chi_table()).items():
             assert e["bbf_value"] == U.q((p, q))
-            assert e["chi"] == RR(e["bbf_value"]) == binom(p * q + 3, 2)
+            assert e["chi"] == RR(e["bbf_value"]) == chi_formula(p * q)
 
     def test_promotion_sources_are_distinguished(self):
         entry = chi_by_pq(chi_table())

@@ -9,8 +9,6 @@ from hypothesis import strategies as st
 from hk4.rationals import (
     Q,
     RatPoly,
-    binom,
-    binom_poly,
     divisors,
     integer_valued_on,
     integrality_witness,
@@ -24,34 +22,6 @@ from hk4.rationals import (
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=64
 )
-
-
-class TestBinom:
-    def test_integer_values(self):
-        assert binom(6, 2) == 15
-        assert binom(4 + 2, 2) == 15
-        assert binom(3, 2) == 3
-
-    def test_k_zero_is_empty_product(self):
-        for x in (Q(0), Q(7, 3), Q(-5)):
-            assert binom(x, 0) == 1
-
-    def test_negative_argument(self):
-        assert binom(-1, 2) == 1  # (-1)(-2)/2
-
-    def test_half_integer(self):
-        # binom(T/2+3, 2) at T = 2k equals binom(k+3, 2)
-        for k in range(-5, 6):
-            assert binom(Q(2 * k, 2) + 3, 2) == binom(k + 3, 2)
-
-    def test_rejects_negative_k(self):
-        with pytest.raises(ValueError):
-            binom(Q(1), -1)
-
-    @pytest.mark.parametrize("k", range(7))
-    def test_integer_valued_on_integers(self, k):
-        for x in range(-20, 21):
-            assert is_integer(binom(x, k))
 
 
 class TestSqrtRational:
@@ -144,11 +114,6 @@ class TestRatPoly:
         assert p + q == RatPoly((5, 2))
         assert not (p - p)
         assert 2 * p == RatPoly((4, 2))
-
-    def test_binom_poly(self):
-        # binom(T/2 + 3, 2) = T^2/8 + 5T/4 + 3
-        p = binom_poly(RatPoly((3, Q(1, 2))), 2)
-        assert p == RatPoly((3, Q(5, 4), Q(1, 8)))
 
     def test_pretty(self):
         p = RatPoly((3, Q(5, 4), Q(1, 8)))
