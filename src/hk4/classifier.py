@@ -128,10 +128,10 @@ class KillTrace:
     ``gate`` holds the N = 288 A_X that the sqrt gate killed.  ``restricted``
     holds the strings of the A_X that a scenario override skipped, and
     ``override`` the string of the A_X it pins.  ``blocks`` holds one
-    (A_X, its string, the gamma strings of its states, its q-kills) per
-    scanned A_X, in scan order.  The b-window's kills are not stored: they
-    are the m of `_b_window` that are not states, and `runs` walks the window
-    again when the trace is written or read.
+    ((first m, p, q) of its b-window from `gamma_search`, its string, the
+    gamma strings of its states, its q-kills) per scanned A_X, in scan order.
+    The b-window's kills are not stored: they are the m of the window that
+    are not states, and `runs` walks the window again from its integers.
     """
 
     __slots__ = ("a", "gate", "restricted", "override", "blocks")
@@ -155,9 +155,8 @@ class KillTrace:
                                     for n in self.gate]
         value = esc(f"override A_X={self.override}")
         yield "restrict", "A_X=", [(esc(ax_s), value) for ax_s in self.restricted]
-        for ax, ax_s, gammas, q_kills in self.blocks:
-            ms, p, q = _b_window(a, ax)[1:]
-            den = 8 * a * q
+        for (m0, p, q), ax_s, gammas, q_kills in self.blocks:
+            ms, den = range(m0, m0 + 2 * a, 2), 8 * a * q
             # the defect num/den in lowest terms, for each m whose defect is not an integer
             yield "gamma_search", f"A_X={ax_s}, b=", [
                 (f"{m}/2" if a & 1 else str(m >> 1),
@@ -228,7 +227,7 @@ def sqrt_gate(a: int, killed: Optional[list] = None) -> list[Q]:
     return out
 
 
-def gamma_search(a: int, A_X: Q) -> list[ClassifierState]:
+def gamma_search(a: int, A_X: Q, window: Optional[list] = None) -> list[ClassifierState]:
     """Scan the finite b-window (beta - a/2, beta + a/2] forced by gamma in (-1, 1].
 
     Candidates step by 1 from the residue forced by a/2 + b in Z, so b = k - a/2
@@ -238,30 +237,26 @@ def gamma_search(a: int, A_X: Q) -> list[ClassifierState]:
     With m = 2k - a (so b = m/2) and p/q = 32 a A_X in lowest terms,
     4 A_X - b^2/(2a) = (p - q m^2) / (8 a q), so the test runs on integers and
     Fractions are built only for the surviving states.  The killed candidates
-    are not listed here: `KillTrace.runs` walks the same window when the trace
-    is written or read.
+    are not listed here: the window's (first m, p, q) go to `window`, from
+    which `KillTrace.runs` walks it again when the trace is written or read.
     """
     A_X = Q(A_X)
-    beta, ms, p, q = _b_window(a, A_X)
+    beta = sqrt_rational(Q(8 * a * A_X.numerator, A_X.denominator))
+    if beta is None:
+        raise ValueError("gamma_search requires sqrt(2aA_X) rational; run sqrt_gate first")
+    p, q = Q(32 * a * A_X.numerator, A_X.denominator).as_integer_ratio()
+    m0 = 2 * math.floor(beta) + 2 - a
+    if window is not None:
+        window += (m0, p, q)
     den = 8 * a * q
     states = []
-    for m in ms:
+    for m in range(m0, m0 + 2 * a, 2):
         num = p - q * m * m
         if num % den == 0:
             b, c = Q(m, 2), Q(3 - num // den)
             states.append(ClassifierState(a=a, A_X=A_X, beta=beta, gamma=2 * (b - beta) / a, b=b,
                                           c=c, value_poly=RatPoly((c, b, Q(a, 2)))))
     return states
-
-
-def _b_window(a: int, A_X: Q) -> tuple[Q, range, int, int]:
-    """(beta, the m = 2b that `gamma_search` scans, p, q) with p/q = 32 a A_X in lowest terms."""
-    beta = sqrt_rational(8 * a * A_X)
-    if beta is None:
-        raise ValueError("gamma_search requires sqrt(2aA_X) rational; run sqrt_gate first")
-    scaled = 32 * a * A_X
-    k0 = math.floor(beta) + 1
-    return beta, range(2 * k0 - a, 2 * k0 + a, 2), scaled.numerator, scaled.denominator
 
 
 def admissible_qlm(a: int, A_X: Q, killed: Optional[list] = None) -> dict[int, QOption]:
@@ -291,7 +286,7 @@ def admissible_qlm(a: int, A_X: Q, killed: Optional[list] = None) -> dict[int, Q
     Fractions (c_X and `rr_from_cx_ax`) are built only for admitted q.
     """
     A_X = Q(A_X)
-    r = sqrt_rational(2 * a * A_X)
+    r = sqrt_rational(Q(2 * a * A_X.numerator, A_X.denominator))
     if r is None:
         raise ValueError("admissible_qlm requires sqrt(2aA_X) rational; run sqrt_gate first")
     rn, rd = r.numerator, r.denominator
@@ -422,14 +417,16 @@ def classify(
     solutions: list[Solution] = []
     blocks = []
     for ax in ax_values:
-        states = gamma_search(a, ax)
+        window: list = []
+        states = gamma_search(a, ax, window)
         q_kills: list = []
         if states:
             q_options = admissible_qlm(a, ax, killed=q_kills)
             admitted = tuple(q_options[q] for q in sorted(q_options))
             in_table, builtin_only = map(tuple, betti_options_for(ax, betti_table))
             solutions += [Solution(state, admitted, in_table, builtin_only) for state in states]
-        blocks.append((ax, str(ax), tuple(str(state.gamma) for state in states), tuple(q_kills)))
+        gammas = tuple(str(state.gamma) for state in states)
+        blocks.append((tuple(window), str(ax), gammas, tuple(q_kills)))
 
     if solutions:
         # for even a every b is an integer, and an even b was killed (Lemma 2)
@@ -467,8 +464,9 @@ def fujiki_degree_bound(n: int, a: int) -> Q:
     """Bound a*3^n*(2n)!/(2^n n!) on integral((l+m)^(2n)) after normalization.
 
     With -q(l,m) < q(m) <= q(l,m) one has q(l+m) <= 3 q(l,m), and the Fujiki
-    relation turns that into the stated bound.
+    relation turns that into the stated bound.  (2n)!/(2^n n!) = (2n - 1)!! is
+    an integer, so the bound is one, computed on ints.
     """
     if n < 1 or a < 1:
         raise ValueError("fujiki_degree_bound requires n >= 1 and a >= 1")
-    return Q(a) * 3**n * Q(math.factorial(2 * n), 2**n * math.factorial(n))
+    return Q(a * 3**n * math.factorial(2 * n) // (2**n * math.factorial(n)))

@@ -10,7 +10,8 @@ path) is parsed at one boundary that raises ``InputError``, and ``main`` alone
 turns it into one ``error:`` line and the exit code.  These inputs are read
 on every call.  What no call changes is built once per process: the argument
 parser, data/expectations.json, the built-in Betti table, the reflection
-sample and the guan-gate scan points.  The engine calls run on every suite.
+sample and the guan-gate scan points.  The engine calls run on every suite,
+on integers where they can, with Fractions built only for what they report.
 Each command converts its payload to plain JSON once, where it builds it, and
 serializes it at most once, in ``_emit``.
 
@@ -24,8 +25,10 @@ check is its pinned expected values has no claim.  The engine returns the
 dict a certificate reports; an entry names ``fields`` only where it reports
 a subset, an alias or a reshape of that result.  The expected values live in
 data/expectations.json, separate from the code, so a diff between computed
-and expected values is a first-class artifact.
-Certificates run serially: pure-Python exact arithmetic gains nothing from threads.
+and expected values is a first-class artifact.  A row whose engine raises an
+``Exception`` is reported as FAIL with one diff naming it, and the suite goes
+on.  Certificates run serially: pure-Python exact arithmetic gains nothing
+from threads.
 """
 
 from __future__ import annotations
@@ -66,12 +69,8 @@ def _certificate(compute: Callable[[], Any], claim: Optional[Callable[[Any], boo
     otherwise.  ``compute`` looks its engine functions up through their
     modules each time it runs (``ledger.koszul_counts()``, never a reference
     taken at import), so a function rebound on its module, by a tracer or a
-    test, is the one that runs.  Only fixed inputs are built once per process
-    (the parser, the expectations, the built-in Betti table, the reflection
-    sample and the guan-gate scan points); the engine calls run on every suite,
-    and no result is cached.  Most computations return the dict they
-    report; ``fields`` is a view of the result only where a row reports a
-    subset, an alias or a reshape of it.
+    test, is the one that runs, and no result is cached.  ``fields`` is a view
+    of the result only where a row reports a subset, an alias or a reshape of it.
     """
 
     def run() -> dict:
@@ -97,9 +96,9 @@ def _guan_gate_scan() -> dict:
     # the hits keep the (den, num) order of the points, and expectations.json pins the list
     hits = []
     for t in _guan_scan_points():
-        admitted = sorted(fujiki.guan_gate(t))
+        admitted = fujiki.guan_gate(t)
         if admitted:
-            hits.append({"t": t, "A_X": admitted})
+            hits.append({"t": t, "A_X": sorted(admitted)})
     return {
         "scan": "t = p/q in [0, 1/3) with q <= 24",
         "hits": hits,
@@ -142,12 +141,12 @@ def _reflection_checks() -> dict:
     """The reflection in (-1, 1) on its generators and on each sampled class, reflected once."""
     sample = _reflection_sample()
     refl, q = lattices.reflection_about((-1, 1)), lattices.U.q
-    images = [refl(v) for v in sample]
+    images = list(map(refl, sample))
     return {
         "swaps_l_m": refl((1, 0)) == (0, 1) and refl((0, 1)) == (1, 0),
         "negates_e": refl((-1, 1)) == (1, -1),
-        "involution_on_sample": all(refl(w) == v for v, w in zip(sample, images)),
-        "preserves_q_on_sample": all(q(w) == q(v) for v, w in zip(sample, images)),
+        "involution_on_sample": list(map(refl, images)) == list(sample),
+        "preserves_q_on_sample": list(map(q, images)) == list(map(q, sample)),
         "sample_size": len(sample),
     }
 
@@ -235,8 +234,8 @@ def load_expectations() -> dict:
 def _subset_diff(expected, computed, path="") -> list[str]:
     """Expected must be a (recursive) subset of computed; returns mismatches."""
     diffs = []
-    if isinstance(expected, dict):
-        if not isinstance(computed, dict):
+    if type(expected) is dict:
+        if type(computed) is not dict:
             return [f"{path}: expected object, computed {computed!r}"]
         for k, v in expected.items():
             if k not in computed:
@@ -253,8 +252,12 @@ def run_certificate(name: str, expectations: dict) -> dict:
     """Run one certificate: it passes when its claim holds and no expected value differs.
 
     ``expectations`` is the parsed expectations file (``load_expectations()``).
+    A row that raises an ``Exception`` fails with one diff naming it and no values.
     """
-    computed = to_jsonable(CERTIFICATES[name]())
+    try:
+        computed = to_jsonable(CERTIFICATES[name]())
+    except Exception as exc:
+        return {"name": name, "result": "FAIL", "diffs": [f"{name}: raised {exc!r}"], "values": {}}
     expected = expectations.get(name, {})
     diffs = _subset_diff(expected, computed, name)
     if diffs or computed["status"] not in ("PASS", "UNSAT"):

@@ -10,15 +10,10 @@ and the Betti/Chern constraint arithmetic built on A_X = (7 c2^2 - 4 c4)/5760.
 
 from __future__ import annotations
 
-from math import factorial
+from math import factorial, isqrt
 
 from .lattices import U
-from .rationals import (
-    Q,
-    RatPoly,
-    is_integer,
-    sqrt_rational,
-)
+from .rationals import Q, RatPoly, is_integer, ratio_to_string
 
 #: 288*A_X is an integer (c4 is divisible by 12); the admissible values are
 #: the singleton 225 (rank-23 branch, A_X = 25/32) together with the integer
@@ -79,14 +74,15 @@ def rr_from_cx_ax(c_X, A_X) -> RRPolynomial:
     """n = 2 Riemann-Roch polynomial (c_X/24) T^2 + sqrt(2 c_X A_X/3) T + 3.
 
     Raises ValueError when 2 c_X A_X/3 is not a rational square; the
-    classifier calls this only for admitted q, where it is one.
+    classifier calls this only for admitted q, where it is one.  The root is
+    decided in integers; Fractions are built only for the three coefficients.
     """
-    c_X, A_X = Q(c_X), Q(A_X)
-    mid_sq = 2 * c_X * A_X / 3
-    mid = sqrt_rational(mid_sq)
-    if mid is None:
-        raise ValueError(f"sqrt({mid_sq}) is irrational: no rational RR polynomial")
-    return RRPolynomial(base=RatPoly((Q(3), mid, c_X / 24)), n=2)
+    (cn, cd), (an, ad) = ((x if type(x) is Q else Q(x)).as_integer_ratio() for x in (c_X, A_X))
+    p, q = Q(2 * cn * an, 3 * cd * ad).as_integer_ratio()
+    rp, rq = isqrt(p), isqrt(q)  # isqrt raises ValueError on a negative p
+    if rp * rp != p or rq * rq != q:
+        raise ValueError(f"sqrt({ratio_to_string(p, q)}) is irrational: no rational RR polynomial")
+    return RRPolynomial(base=RatPoly((Q(3), Q(rp, rq), Q(cn, 24 * cd))), n=2)
 
 
 def rr_lagrangian_form(n: int) -> RRPolynomial:
@@ -152,7 +148,7 @@ def guan_gate(t) -> frozenset[Q]:
     num/den is in lowest terms, den | 72.  A den that does not divide 72
     admits no N, and the scan is skipped.
     """
-    num, den = Q(t).as_integer_ratio()
+    num, den = (t if type(t) is Q else Q(t)).as_integer_ratio()  # a Fraction is read, not rebuilt
     if not (0 <= num and 3 * num < den):
         raise ValueError("guan_gate requires t in [0, 1/3)")
     if 72 % den:

@@ -24,20 +24,22 @@ report.  Both forms are ``lattices.QuadLattice``s: ``h4_pair`` is ``H4.pair``
 and ``boundary_value`` reads q(omega, l) and q(omega, m) from ``U2.pair``.
 
 The unknown of each refutation is a polynomial indeterminate: x = q(A) for
-the plane, w for the contracted surface and the splitting of lm.  Classes
-whose coordinates are affine in w are ordinary ``H4Class`` values over
-``RatPoly``, so ``h4_pair`` and ``boundary_value`` return the reported
-polynomials in w directly; ``M_[S]`` is checked to have degree 0 in w.
+the plane, w for the contracted surface and the splitting of lm.  The
+refutations run on int coefficients: the classes affine in w are doubled
+(clearing t/2, lm/2 and ``TWIST``'s -25/2) and the plane's c2 equation is
+scaled by 5, so ``h4_pair`` and ``boundary_value`` return polynomials in w
+over the ints; the reported rationals are made once, when the certificate's
+dict is built.  ``M_[S]`` is checked to have degree 0 in w.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Sequence
 
 from .fujiki import fujiki4_pairing
 from .lattices import U, U2, QuadLattice
-from .rationals import Q, RatPoly, det_cofactor, divisors, is_integer, squarefree_part
+from .rationals import Q, RatPoly, det_cofactor, divisors, ratio_to_string, squarefree_part
 
 B2 = 23
 QDUAL_NS = B2 + 2  # <q-dual, alpha*beta> = 25 q(alpha, beta)
@@ -62,24 +64,9 @@ class H4Class:
     def coords(self) -> tuple:
         return (self.l2, self.lm, self.m2, self.qdual)
 
-    def __add__(self, other: "H4Class") -> "H4Class":
-        return H4Class(*(a + b for a, b in zip(self.coords(), other.coords())))
-
-    def __sub__(self, other: "H4Class") -> "H4Class":
-        return H4Class(*(a - b for a, b in zip(self.coords(), other.coords())))
-
     def scale(self, c) -> "H4Class":
-        if type(c) is not RatPoly:
-            c = Q(c)
         return H4Class(*(c * a for a in self.coords()))
 
-
-L2 = H4Class(l2=1)
-LM = H4Class(lm=1)
-M2 = H4Class(m2=1)
-
-#: The unknown w of the contracted-surface and splitting refutations.
-W = RatPoly((Q(0), Q(1)))
 
 #: q-dual - (25/2) lm, the direction in which both refutations' classes move with w.
 TWIST = H4Class(lm=-Q(25, 2), qdual=1)
@@ -124,9 +111,8 @@ def h4_pair(x: H4Class, y: H4Class) -> Q | RatPoly:
 
 def intersection_matrix(eta: H4Class) -> tuple[tuple, tuple]:
     """M_eta = ((eta.l^2, eta.lm), (eta.lm, eta.m^2)) as exact intersection numbers."""
-    a = h4_pair(eta, L2)
-    b = h4_pair(eta, LM)
-    c = h4_pair(eta, M2)
+    # the int basis vector comes first, so each term multiplies a coordinate of eta once
+    a, b, c = (H4.pair(e, eta.coords()) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)))
     return ((a, b), (b, c))
 
 
@@ -147,21 +133,34 @@ def boundary_value(eta: H4Class, omega: Sequence[int] = OMEGA) -> Q | RatPoly:
     ql, qm = U2.pair(omega, (1, 0, 0, 0)), U2.pair(omega, (0, 1, 0, 0))
     if ql < 0 or qm < 0:
         raise ValueError("boundary witness must pair nonnegatively with l and m")
-    return eta.l2 * 2 * ql * ql + eta.lm * 2 * ql * qm + eta.m2 * 2 * qm * qm
+    return eta.l2 * (2 * ql * ql) + eta.lm * (2 * ql * qm) + eta.m2 * (2 * qm * qm)
 
 
-def _coefficients(p: RatPoly, n: int) -> list[Q]:
-    """The n lowest coefficients of p, lowest degree first, as reported (Q(0) past the degree)."""
-    return [p.coefficient(k) for k in range(n)]
+def _doubled_twist() -> tuple[int, ...]:
+    """The coordinates of 2 * TWIST as ints; one that is not an integer raises ValueError."""
+    twist = [(2 * Q(c)).as_integer_ratio() for c in TWIST.coords()]
+    if any(den != 1 for _, den in twist):
+        raise ValueError("2 * TWIST must have integer coordinates")
+    return tuple(num for num, _ in twist)
 
 
-def _w_denominator_bound(two_sq: RatPoly) -> int:
+def _affine(base: Sequence[int], slope: Sequence[int]) -> H4Class:
+    """The class base + w * slope, its coordinates int polynomials in w."""
+    return H4Class(*(RatPoly((b, c)) for b, c in zip(base, slope)))
+
+
+def _reported(p: RatPoly, n: int, den: int = 1) -> list[Q]:
+    """The n lowest coefficients of p/den, lowest degree first, as reported (0 past the degree)."""
+    return [Q(p.coefficient(k), den) for k in range(n)]
+
+
+def _w_denominator_bound(c: Q) -> int:
     """The largest d with d^2 | c, for c the w^2 coefficient of 2 eta^2 = c0 + c w^2.
 
     When c0 and 2 eta^2 are integers so is c w^2; with w = p/d in lowest
     terms, d^2 | c p^2 forces d^2 | c, so d divides isqrt(c / squarefree(c)).
     """
-    c = int(two_sq.coefficient(2))
+    c = int(c)
     return isqrt(c // squarefree_part(c))
 
 
@@ -169,7 +168,14 @@ def _linear_root(p: RatPoly) -> Q:
     """The root -c0/c1 of a degree-1 polynomial c0 + c1 w (a boundary value in w)."""
     if p.degree != 1:
         raise ValueError(f"expected a linear polynomial in w, got {p.pretty('w')}")
-    return -p.coefficient(0) / p.coefficient(1)
+    return Q(-p.coefficient(0), p.coefficient(1))
+
+
+def _value_text(p: RatPoly, num: int, den: int, scale: int) -> tuple[int, str]:
+    """(a number of the sign of, the str of) p(num/den)/scale, p over the ints, den, scale > 0."""
+    n = max(p.degree, 0)
+    total = sum(c * num**k * den ** (n - k) for k, c in enumerate(p.coeffs))
+    return total, ratio_to_string(total, scale * den**n)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +204,9 @@ def resultant(p: Sequence, q: Sequence, zero) -> object:
 
 
 def primitive_integer_form(p: RatPoly) -> tuple[RatPoly, int]:
-    """Strip the x^k content and rational content; positive leading coefficient.
+    """Strip the x^k factor and the content of an int polynomial; positive leading coefficient.
 
-    Returns (primitive integer-coefficient polynomial, k).
+    Returns (the primitive polynomial, k), its coefficients the rationals a certificate reports.
     """
     if not p:
         raise ValueError("zero polynomial has no primitive form")
@@ -209,10 +215,8 @@ def primitive_integer_form(p: RatPoly) -> tuple[RatPoly, int]:
     while not coeffs[0]:
         coeffs.pop(0)
         k += 1
-    den = lcm(*(Q(c).denominator for c in coeffs))
-    ints = [int(Q(c) * den) for c in coeffs]
-    g = gcd(*ints) if ints[-1] > 0 else -gcd(*ints)
-    return RatPoly(tuple(Q(c // g) for c in ints)), k
+    g = gcd(*coeffs) if coeffs[-1] > 0 else -gcd(*coeffs)
+    return RatPoly(tuple(Q(c // g) for c in coeffs)), k
 
 
 def root_scan(c0: int, c1: int, c2: int) -> tuple[list[int], list[Q]]:
@@ -257,15 +261,16 @@ def lagrangian_plane_certificate() -> dict:
     roots, 105/46 and -5/2, and certifies that no divisor of 525 is an
     integer root; each root is checked by back-substitution.
     """
-    x = RatPoly((Q(0), Q(1)))
+    x = RatPoly((0, 1))
     zero_x = RatPoly()
+    c2_num, c2_den = C2_FACTOR.as_integer_ratio()  # the c2 equation is scaled by c2_den = 5
 
     qAA = 3 * x * x  # integral(A^4) = c_X q(A)^2 with c_X = 3
     qQA = QDUAL_NS * x  # <q-dual, A^2> = 25 q(A)
-    qQQ = RatPoly.constant(Q(QDUAL_SELF))
+    qQQ = RatPoly.constant(QDUAL_SELF)
 
-    # linear system in (t, u):  a11 t + a12 u = r1 ; a21 t + a22 u = r2
-    a11, a12, r1 = C2_FACTOR * qQA, C2_FACTOR * qQQ, RatPoly.constant(Q(-3))
+    # linear system in (t, u), all over Z[x]:  a11 t + a12 u = r1 ; a21 t + a22 u = r2
+    a11, a12, r1 = c2_num * qQA, c2_num * qQQ, RatPoly.constant(-3 * c2_den)
     a21, a22, r2 = qAA, qQA, x * x
     det = a11 * a22 - a12 * a21
     t_num = r1 * a22 - a12 * r2
@@ -280,19 +285,20 @@ def lagrangian_plane_certificate() -> dict:
     )
     quad, stripped = primitive_integer_form(eliminated)
 
-    # independent cross-check: resultant chain in t then u, over Q[x][u]
+    # independent cross-check: resultant chain in t then u, over Z[x][u]
     zero_ux = RatPoly()
-    e1_t = [RatPoly((RatPoly.constant(Q(-3)), zero_x, qQQ)), RatPoly((zero_x, 2 * qQA)),
+    e1_t = [RatPoly((RatPoly.constant(-3), zero_x, qQQ)), RatPoly((zero_x, 2 * qQA)),
             RatPoly((qAA,))]
-    e2_t = [RatPoly((RatPoly.constant(Q(3)), C2_FACTOR * qQQ)), RatPoly((C2_FACTOR * qQA,))]
+    e2_t = [RatPoly((RatPoly.constant(3 * c2_den), c2_num * qQQ)), RatPoly((c2_num * qQA,))]
     e3_t = [RatPoly((-(x * x), qQA)), RatPoly((qAA,))]
-    r13 = resultant(e1_t, e3_t, zero_ux)  # in Q[x][u]
+    r13 = resultant(e1_t, e3_t, zero_ux)  # in Z[x][u]
     r23 = resultant(e2_t, e3_t, zero_ux)
-    chained = resultant(list(r13.coeffs), list(r23.coeffs), zero_x)  # in Q[x]
+    chained = resultant(list(r13.coeffs), list(r23.coeffs), zero_x)  # in Z[x]
     quad_res, _ = primitive_integer_form(chained)
 
-    disc = quad.coefficient(1) ** 2 - 4 * quad.coefficient(2) * quad.coefficient(0)
-    integer_roots, rational_roots = root_scan(*(int(quad.coefficient(k)) for k in range(3)))
+    c0, c1, c2 = (int(quad.coefficient(k)) for k in range(3))
+    disc = Q(c1 * c1 - 4 * c2 * c0)
+    integer_roots, rational_roots = root_scan(c0, c1, c2)
 
     # back-substitution: at each root the linear system determines (t, u) and
     # all three original equations must hold exactly
@@ -328,8 +334,8 @@ def lagrangian_plane_certificate() -> dict:
             f"{', '.join(str(r) for r in integer_roots) or 'none'}",
             "q(A) must be an integer, so no Lagrangian plane class exists",
         ),
-        "quadratic": _coefficients(quad, 3),
-        "quadratic_resultant": _coefficients(quad_res, 3),
+        "quadratic": _reported(quad, 3),
+        "quadratic_resultant": _reported(quad_res, 3),
         "roots": rational_roots,
         "integer_roots": integer_roots,
         "rational_roots": rational_roots,
@@ -356,27 +362,31 @@ def contracted_surface_certificate() -> dict:
     survives both constraints, so the certificate is not vacuous.
     """
     probe = 5
-    s_plus_sp = ns_product((1, 1), (-1, 1)).scale(2)  # [S] + [S'] = 2(l+m)(-l+m)
+    # the classes are doubled: 2[S] = t(l^2 - lm + m^2) + 2w TWIST, and 2([S] + [S']) = 4(l+m)(-l+m)
+    both = [int(c) for c in ns_product((1, 1), (-1, 1)).scale(4).coords()]
+    twist = _doubled_twist()
+    minus = [-c for c in twist]
     cases = []
     all_unsat = True
     for t in (1, 2, 3, 4, probe):
-        S = H4Class(l2=Q(t, 2), lm=-Q(t, 2), m2=Q(t, 2)) + TWIST.scale(W)
+        base = (t, -t, t, 0)
+        S, S_prime = _affine(base, twist), _affine([s - b for s, b in zip(both, base)], minus)
         m_s = intersection_matrix(S)
         if any(entry.degree > 0 for row in m_s for entry in row):
             raise AssertionError("M_[S] must not depend on w")
-        two_s_sq = 2 * h4_pair(S, S)
+        two_s_sq = _reported(h4_pair(S, S), 3, 2)
         bv_s = boundary_value(S)
-        bv_sp = boundary_value(s_plus_sp - S)
+        bv_sp = boundary_value(S_prime)
         # witness forces t - 25w >= 0 and 25w - t >= 0, so w is the root of t - 25w
         forced_w = _linear_root(bv_s)
-        five_w = _w_denominator_bound(two_s_sq) * forced_w
-        survives = is_integer(five_w)
+        five_w = _w_denominator_bound(two_s_sq[2]) * forced_w
+        survives = five_w.denominator == 1
         case = {
             "t": t,
-            "M_S": tuple(tuple(entry.coefficient(0) for entry in row) for row in m_s),
-            "two_S_sq": _coefficients(two_s_sq, 3),
-            "boundary_S": _coefficients(bv_s, 2),
-            "boundary_S_prime": _coefficients(bv_sp, 2),
+            "M_S": tuple(tuple(Q(entry.coefficient(0), 2) for entry in row) for row in m_s),
+            "two_S_sq": two_s_sq,
+            "boundary_S": _reported(bv_s, 2, 2),
+            "boundary_S_prime": _reported(bv_sp, 2, 2),
             "forced_w": forced_w,
             "five_w": five_w,
             "verdict": "SAT-candidate" if survives else "UNSAT",
@@ -426,61 +436,61 @@ def sigma_split_certificate() -> dict:
     forces w <= 1/25 < 1/5.  Both kill paths are recorded, together with a
     finite scan of every candidate w with denominator in {1, 5}.
     """
-    sigma1 = H4Class(lm=Q(1, 2)) + TWIST.scale(-W)
-    sigma2 = H4Class(lm=Q(1, 2)) + TWIST.scale(W)
-    s1_sq = h4_pair(sigma1, sigma1)
-    s2_sq = h4_pair(sigma2, sigma2)
-    cross = h4_pair(sigma1, sigma2)
-    bv_s2 = boundary_value(sigma2)
-    bv_s1 = boundary_value(sigma1)
-    two_s1_sq = 2 * s1_sq
-    two_cross = 2 * cross
+    # the classes are doubled: 2 Sigma_1 = lm - 2w TWIST and 2 Sigma_2 = lm + 2w TWIST
+    twist = _doubled_twist()
+    sigma1, sigma2 = _affine((0, 1, 0, 0), [-c for c in twist]), _affine((0, 1, 0, 0), twist)
+    sq1, cross4 = h4_pair(sigma1, sigma1), h4_pair(sigma1, sigma2)  # 4 Sigma_1^2, 4 Sigma_1.Sigma_2
+    bv2 = boundary_value(sigma2)  # 2 integral(Sigma_2 omega^2)
+    s1_sq, cross, bv_s2 = _reported(sq1, 3, 4), _reported(cross4, 3, 4), _reported(bv2, 2, 2)
+    two_s1_sq, two_cross = _reported(sq1, 3, 2), _reported(cross4, 3, 2)
 
     # candidate scan: w = 0 and every w = p/d with 0 < w <= 2, d the denominator bound (5)
     candidates = []
     odd_w = []  # the scanned w with 525 w^2 an odd integer
-    d = _w_denominator_bound(two_s1_sq)
-    scan = [Q(0)] + [Q(p, d) for p in range(1, 2 * d + 1)]
-    for w in scan:
-        kills = []
-        odd = two_s1_sq.coefficient(2) * w * w
-        if is_integer(odd) and int(odd) % 2 == 1:
+    d = _w_denominator_bound(two_s1_sq[2])
+    for p in range(2 * d + 1):
+        w, kills = Q(p, d), []
+        # 525 w^2 = (4 Sigma_1^2)_2 p^2 / (2 d^2)
+        odd, rest = divmod(sq1.coefficient(2) * p * p, 2 * d * d)
+        if not rest and odd % 2 == 1:
             odd_w.append(w)
         else:
             kills.append(
-                f"integrality: Sigma_1^2 = {s1_sq(w)} and Sigma_1.Sigma_2 = {cross(w)} "
-                "are not both integers"
+                f"integrality: Sigma_1^2 = {_value_text(sq1, p, d, 4)[1]} and "
+                f"Sigma_1.Sigma_2 = {_value_text(cross4, p, d, 4)[1]} are not both integers"
             )
-        if bv_s2(w) < 0:
-            kills.append(f"witness: integral(Sigma_2 omega^2) = {bv_s2(w)} < 0")
+        sign, text = _value_text(bv2, p, d, 2)
+        if sign < 0:
+            kills.append(f"witness: integral(Sigma_2 omega^2) = {text} < 0")
         candidates.append({"w": w, "kills": kills, "killed": bool(kills)})
     all_killed = all(c["killed"] for c in candidates)
 
     # forced by integrality (denominator | 5, 525 w^2 odd, w > 0)
     w_min = min(w for w in odd_w if w > 0)
-    w_max = _linear_root(bv_s2)  # forced by the witness inequality 1 - 25w >= 0
+    w_max = _linear_root(bv2)  # forced by the witness inequality 1 - 25w >= 0
     ok = all_killed and w_min > w_max
     return {
         "status": "UNSAT" if ok else "SAT",
         "deduction": (
-            f"exact pairings: Sigma_1^2 = {s1_sq.pretty('w')}; "
-            f"Sigma_1.Sigma_2 = {cross.pretty('w')}; equivalently "
-            f"2 Sigma_1^2 = {two_s1_sq.pretty('w')} and 2 Sigma_1.Sigma_2 = {two_cross.pretty('w')}",
+            f"exact pairings: Sigma_1^2 = {RatPoly(s1_sq).pretty('w')}; "
+            f"Sigma_1.Sigma_2 = {RatPoly(cross).pretty('w')}; equivalently "
+            f"2 Sigma_1^2 = {RatPoly(two_s1_sq).pretty('w')} and "
+            f"2 Sigma_1.Sigma_2 = {RatPoly(two_cross).pretty('w')}",
             "kill path 1 (integrality): both intersection numbers integral means "
             "525 w^2 is an odd integer, so w != 0 (w = 0 gives Sigma_1^2 = 1/2), the "
             f"denominator of w divides 5, and with the sign choice w > 0: w >= {w_min}",
             "kill path 2 (witness): Sigma_2 effective against omega = l + m + e' - f' "
-            f"means integral(Sigma_2 omega^2) = {bv_s2.pretty('w')} >= 0: w <= {w_max}",
+            f"means integral(Sigma_2 omega^2) = {RatPoly(bv_s2).pretty('w')} >= 0: w <= {w_max}",
             f"{w_min} > {w_max}: the two constraints are jointly infeasible, UNSAT",
         ),
         "witnesses": ("omega = l + m + e' - f' (q = 0, q(.,l) = q(.,m) = 1)",),
-        "sigma1_sq": _coefficients(s1_sq, 3),
-        "sigma2_sq": _coefficients(s2_sq, 3),
-        "sigma1_sigma2": _coefficients(cross, 3),
-        "two_sigma1_sq": _coefficients(two_s1_sq, 3),
-        "two_sigma1_sigma2": _coefficients(two_cross, 3),
-        "boundary_sigma2": _coefficients(bv_s2, 2),
-        "boundary_sigma1": _coefficients(bv_s1, 2),
+        "sigma1_sq": s1_sq,
+        "sigma2_sq": _reported(h4_pair(sigma2, sigma2), 3, 4),
+        "sigma1_sigma2": cross,
+        "two_sigma1_sq": two_s1_sq,
+        "two_sigma1_sigma2": two_cross,
+        "boundary_sigma2": bv_s2,
+        "boundary_sigma1": _reported(boundary_value(sigma1), 2, 2),
         "w_min_integrality": w_min,
         "w_max_witness": w_max,
         "candidates": candidates,

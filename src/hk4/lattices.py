@@ -23,14 +23,15 @@ Vector = tuple[int, ...]
 class QuadLattice:
     """Integral quadratic lattice given by a symmetric Gram matrix.
 
-    ``pair`` sums over the non-zero entries (i, j, g), listed once here; its
-    result has the coordinates' type (an int on integer vectors).
+    ``pair`` sums over the non-zero entries (i, j, g), listed once here, and
+    ``q`` over those with i <= j, off-diagonal ones doubled (one term on ``U``);
+    the result has the coordinates' type (an int on integer vectors).
     """
 
-    __slots__ = ("gram", "rank", "_nonzero")
+    __slots__ = ("gram", "rank", "_nonzero", "_upper")
 
     def __init__(self, gram: Sequence[Sequence]):
-        g = tuple(tuple(Q(x) for x in row) for row in gram)
+        g = tuple(tuple(x if type(x) is int else Q(x) for x in row) for row in gram)
         if any(x.denominator != 1 for row in g for x in row):  # exact: 1/2 or 1.5 is not truncated
             raise ValueError("Gram entries must be integers")
         g = tuple(tuple(x.numerator for x in row) for row in g)
@@ -41,6 +42,7 @@ class QuadLattice:
             raise ValueError("Gram matrix must be symmetric")
         self.gram, self.rank = g, n
         self._nonzero = tuple((i, j, x) for i, row in enumerate(g) for j, x in enumerate(row) if x)
+        self._upper = tuple((i, j, x if i == j else 2 * x) for i, j, x in self._nonzero if i <= j)
 
     def pair(self, v: Sequence, w: Sequence):
         """The bilinear form q(v, w) = v^T G w, summed over the non-zero entries of G."""
@@ -52,8 +54,13 @@ class QuadLattice:
         return total
 
     def q(self, v: Sequence[int]) -> int:
-        """The quadratic form q(v) = v^T G v."""
-        return self.pair(v, v)
+        """The quadratic form q(v) = v^T G v, summed over the entries on and above the diagonal."""
+        if len(v) != self.rank:
+            raise ValueError("vector length does not match lattice rank")
+        total = 0
+        for i, j, g in self._upper:
+            total += v[i] * g * v[j]
+        return total
 
     @staticmethod
     def from_json(data: dict) -> "QuadLattice":
@@ -85,6 +92,10 @@ def hyperbolic_pair_normalize(q_l: int, q_m: int, q_lm: int) -> dict:
     Returns ``{gamma, sign_flip, shift, q_lm, q_m}``: after replacing m by
     (-m if sign_flip else m) + shift * l, the new pair has q(l, m) = q_lm > 0
     and q(m) = q_m, and gamma = q_m/q_lm lies in (-1, 1].
+
+    The shift lands in the window: with p = |q(l, m)| and
+    k = floor((q_m + p - 1)/(2p)) = -r, 2pk <= q_m + p - 1 < 2p(k + 1), so
+    1 - p <= q_m - 2pk <= p, that is -p < q_m + 2rp <= p.
     """
     if q_l != 0:
         raise ValueError(f"q(l) = {q_l} != 0")
@@ -95,8 +106,6 @@ def hyperbolic_pair_normalize(q_l: int, q_m: int, q_lm: int) -> dict:
     # choose r with q_m + 2 r p in (-p, p]
     r = -((q_m + p - 1) // (2 * p))
     new_qm = q_m + 2 * r * p
-    if not -p < new_qm <= p:
-        raise AssertionError(f"normalized q(m) = {new_qm} outside the window (-{p}, {p}]")
     return {"gamma": Q(new_qm, p), "sign_flip": flip, "shift": r, "q_lm": p, "q_m": new_qm}
 
 
@@ -105,10 +114,13 @@ def reflection_about(e: Sequence[int]) -> Callable[[Sequence[int]], Vector]:
     e = tuple(int(x) for x in e)
     if U.q(e) != -2:
         raise ValueError("reflection requires a class of square -2")
+    (e0, e1), le, me = e, U.pair((1, 0), e), U.pair((0, 1), e)  # q(., e) on l and on m
 
     def reflect(v: Sequence[int]) -> Vector:
-        c = U.pair(v, e)  # checks that v has rank 2
-        return (v[0] + c * e[0], v[1] + c * e[1])
+        if len(v) != 2:
+            raise ValueError("vector length does not match lattice rank")
+        c = v[0] * le + v[1] * me
+        return (v[0] + c * e0, v[1] + c * e1)
 
     return reflect
 
@@ -127,28 +139,31 @@ def prime_exceptional_scan() -> dict:
     found = []
     # the report keeps the first `sample` rejections, so only those get their message
     sample, rejected = 6, []
-    basis = ((1, 0), (0, 1))
+    l, m = (1, 0), (0, 1)
+    qm, m_l = U.q(m), U.pair(m, l)
     for t in range(-window, window + 1):
+        # E = t*l + u*m: q(E) = q(tl) + 2u q(tl, m) + u^2 q(m), and q(E, b) = q(tl, b) + u q(m, b)
+        tl = (t, 0)
+        qt, tl_m = U.q(tl), U.pair(tl, m)
+        basis = ((U.pair(tl, l), m_l), (tl_m, qm))
         for u in range(-window, window + 1):
-            v = (t, u)
-            qe = U.q(v)
+            qe = qt + 2 * u * tl_m + u * u * qm
             if qe >= 0:
                 continue
             if gcd(t, u) != 1:
                 if len(rejected) < sample:
-                    rejected.append((v, "not primitive"))
+                    rejected.append(((t, u), "not primitive"))
                 continue
             # dual form values -2 q(E, b)/q(E) on the basis, integral iff q(E) | 2 q(E, b)
-            ok = True
-            for b in basis:
-                twice = -2 * U.pair(v, b)
+            for tl_b, m_b in basis:
+                twice = -2 * (tl_b + u * m_b)
                 if twice % qe:
                     if len(rejected) < sample:
-                        rejected.append((v, f"dual form value {Q(twice, qe)} on basis not integral"))
-                    ok = False
+                        rejected.append(
+                            ((t, u), f"dual form value {Q(twice, qe)} on basis not integral"))
                     break
-            if ok:
-                found.append(v)
+            else:
+                found.append((t, u))
     return {
         "prime_exceptional": sorted(found),
         "window": window,

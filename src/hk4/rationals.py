@@ -46,10 +46,9 @@ def sqrt_rational(x: Q) -> Optional[Q]:
     A reduced fraction p/q is a rational square iff p and q are both perfect
     squares, so the decision reduces to two integer square roots.
     """
-    x = Q(x)
-    if x < 0:
+    p, q = (x if type(x) is Q else Q(x)).as_integer_ratio()  # a Fraction is read, not rebuilt
+    if p < 0:
         raise ValueError("sqrt_rational requires a nonnegative argument")
-    p, q = x.numerator, x.denominator
     rp, rq = isqrt(p), isqrt(q)
     if rp * rp == p and rq * rq == q:
         return Q(rp, rq)
@@ -151,7 +150,7 @@ class RatPoly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return RatPoly(tuple(a[i] + b[i] if i < len(b) else a[i] for i in range(len(a))))
+        return RatPoly([x + y for x, y in zip(a, b)] + list(a[len(b):]))
 
     __radd__ = __add__
 
@@ -163,12 +162,9 @@ class RatPoly:
             other = RatPoly.constant(other)
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if not isinstance(other, RatPoly):
-            return RatPoly(tuple(c * other for c in self.coeffs))
+            return RatPoly([c * other for c in self.coeffs])
         if not self.coeffs or not other.coeffs:
             return RatPoly()
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -186,20 +182,22 @@ class RatPoly:
     def __repr__(self):
         return f"RatPoly({self.coeffs!r})"
 
-    def pretty(self, var: str = "T") -> str:
-        """Human-readable form, highest degree first, exact rationals."""
+    def pretty(self, var: str = "T", texts=None) -> str:
+        """Human-readable, highest degree first; ``texts`` are the coefficients' str, if known."""
         if not self.coeffs:
             return "0"
+        if texts is None:
+            texts = [str(c) for c in self.coeffs]
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coefficient(k)
-            if not c:
+            c = texts[k]  # the str of a rational: c == "1" exactly when the coefficient is 1
+            if c == "0":
                 continue
             if k == 0:
-                term = str(c)
+                term = c
             else:
                 mono = var if k == 1 else f"{var}^{k}"
-                term = mono if c == 1 else (f"-{mono}" if c == -1 else f"{c}*{mono}")
+                term = mono if c == "1" else (f"-{mono}" if c == "-1" else f"{c}*{mono}")
             if parts and not term.startswith("-"):
                 parts.append("+ " + term)
             elif parts:

@@ -79,9 +79,9 @@ def _plain(obj, shared: dict):
     if names is None:
         if cls is RatPoly:
             return {"coeffs": [_plain(c, shared) for c in obj.coeffs], "pretty": obj.pretty()}
-        if cls is RRPolynomial:
-            return {"n": obj.n, "coeffs": [str(c) for c in obj.base.coeffs],
-                    "pretty": obj.pretty()}
+        if cls is RRPolynomial:  # each coefficient is written once, for both keys
+            texts = [str(c) for c in obj.base.coeffs]
+            return {"n": obj.n, "coeffs": texts, "pretty": obj.base.pretty("T", texts)}
         if not dataclasses.is_dataclass(cls):
             raise TypeError(f"cannot serialize {cls!r}")
         names = _FIELDS[cls] = tuple(f.name for f in dataclasses.fields(cls))

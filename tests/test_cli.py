@@ -7,6 +7,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from importlib import resources
@@ -332,6 +333,26 @@ class TestReportCommand:
         assert hashlib.sha256(res.stdout.encode()).hexdigest() == REPORT_SHA256
         res = run_cli("verify", "all", python_flags=["-O"])
         assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("version", ["3.10", "3.12", "3.13"])
+    def test_pinned_bytes_on_every_claimed_interpreter(self, tmp_path, version):
+        # pyproject.toml claims Python >= 3.10; the suite itself runs on one interpreter
+        import hk4
+
+        exe = shutil.which(f"python{version}")
+        if exe is None:
+            pytest.skip(f"python{version} is not on PATH")
+        probe = subprocess.run([exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
+                               capture_output=True, text=True, timeout=60)
+        if probe.returncode != 0 or probe.stdout.strip() != version:
+            reason = (probe.stderr.strip().splitlines() or [probe.stdout.strip()])[0]
+            pytest.skip(f"python{version} at {exe} does not run: {reason}")
+        out = tmp_path / "report.json"
+        src = os.path.dirname(os.path.dirname(hk4.__file__))
+        res = subprocess.run([exe, "-m", "hk4", "report", "--json", str(out)], capture_output=True,
+                             text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert res.returncode == 0, res.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256
 
 
 class TestMainInProcess:
@@ -661,6 +682,71 @@ class TestExpectationsReadOncePerSuite:
         # run_certificate takes the parsed expectations and reads nothing itself
         assert run_certificate("segre", real())["result"] == "PASS"
         assert len(calls) == 2
+
+
+class TestARaisingCertificateIsAFail:
+    """An engine function that raises fails its certificate; the others are reported unchanged."""
+
+    #: Each command that runs all 15 certificates, with where its output keeps them.
+    COMMANDS = {
+        "verify": (["verify", "all"], lambda out: out["certificates"]),
+        "report": (["report"], lambda out: out["certificates"]),
+        "scenario": (["scenario", "A1"], lambda out: out["certificates"]["certificates"]),
+    }
+    DIFF = "segre: raised AssertionError('determinant methods disagree')"
+
+    @staticmethod
+    def _raise():
+        raise AssertionError("determinant methods disagree")
+
+    def _check(self, name, code, err, written, expected):
+        assert (code, err) == (1, ""), (name, err)
+        certs = self.COMMANDS[name][1](json.loads(written))
+        assert certs["segre"] == {"name": "segre", "result": "FAIL", "diffs": [self.DIFF],
+                                  "values": {}}
+        assert {k: v for k, v in certs.items() if k != "segre"} == expected
+
+    def _argv(self, name, tmp_path):
+        doc = tmp_path / "a1.json"
+        doc.write_text(json.dumps(SCENARIO_DOCS["a1"]))
+        argv = [str(doc) if arg == "A1" else arg for arg in self.COMMANDS[name][0]]
+        return [*argv, "--json", str(tmp_path / f"{name}.json")]
+
+    @pytest.fixture
+    def expected(self):
+        certs = run_suite(sorted(CERTIFICATES))["certificates"]
+        return {k: v for k, v in to_jsonable(certs).items() if k != "segre"}
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_in_process(self, monkeypatch, tmp_path, expected, name):
+        monkeypatch.setattr(ledger, "segre_certificate", self._raise)
+        argv = self._argv(name, tmp_path)
+        code, _, err = run_main(*argv)
+        self._check(name, code, err, (tmp_path / f"{name}.json").read_text(), expected)
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_in_a_subprocess(self, tmp_path, expected, name):
+        import hk4
+
+        code = ("import sys\n"
+                "from hk4 import cli, ledger\n"
+                "def boom():\n"
+                "    raise AssertionError('determinant methods disagree')\n"
+                "ledger.segre_certificate = boom\n"
+                "sys.exit(cli.main(sys.argv[1:]))\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hk4.__file__)))
+        res = subprocess.run([sys.executable, "-c", code, *self._argv(name, tmp_path)],
+                             capture_output=True, text=True, env=env, timeout=60)
+        self._check(name, res.returncode, res.stderr, (tmp_path / f"{name}.json").read_text(),
+                    expected)
+
+    def test_a_base_exception_is_not_caught(self, monkeypatch):
+        def interrupt():
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ledger, "segre_certificate", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(["segre"])
 
 
 class TestOneParserPerProcess:

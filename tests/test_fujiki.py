@@ -22,7 +22,7 @@ from hk4.fujiki import (
     rr_lagrangian_form,
 )
 from hk4.lattices import U, QuadLattice
-from hk4.rationals import Q, RatPoly, integer_valued_on, is_integer
+from hk4.rationals import Q, RatPoly, integer_valued_on, is_integer, sqrt_rational
 
 
 def rr_violations(rr) -> tuple[str, ...]:
@@ -288,6 +288,37 @@ class TestGuanGateIntegerIdentity:
         if t == Q(1, 3):
             return
         assert guan_gate(t) == _guan_gate_reference(t)
+
+
+class TestFastPathsAgainstTheirDefinitions:
+    """guan_gate and rr_from_cx_ax read an int or a Fraction without rebuilding it."""
+
+    @given(st.integers(-3, 3) | st.fractions(-1, 1, max_denominator=80))
+    @settings(max_examples=200)
+    def test_guan_gate_on_int_fraction_and_string(self, t):
+        args = (t, Q(t), str(t))
+        if 0 <= t < Q(1, 3):
+            assert all(guan_gate(arg) == _guan_gate_reference(t) for arg in args)
+        else:
+            for arg in args:
+                with pytest.raises(ValueError, match="t in"):
+                    guan_gate(arg)
+
+    @given(st.integers(-20, 20) | st.fractions(-20, 20, max_denominator=40),
+           st.fractions(-2, 2, max_denominator=300))
+    @settings(max_examples=300)
+    def test_rr_from_cx_ax_is_the_square_root_of_2_cx_ax_over_3(self, c_X, A_X):
+        mid_sq = 2 * Q(c_X) * A_X / 3
+        if mid_sq < 0:
+            with pytest.raises(ValueError):
+                rr_from_cx_ax(c_X, A_X)
+        elif sqrt_rational(mid_sq) is None:
+            with pytest.raises(ValueError, match=f"sqrt\\({mid_sq}\\) is irrational"):
+                rr_from_cx_ax(c_X, A_X)
+        else:
+            rr = rr_from_cx_ax(c_X, A_X)
+            assert rr.base == RatPoly((Q(3), sqrt_rational(mid_sq), Q(c_X) / 24))
+            assert all(type(c) is Q for c in rr.base.coeffs)
 
 
 class TestGuanGateLemma:

@@ -11,12 +11,8 @@ from hk4 import h4
 from hk4.cli import main
 from hk4.fujiki import fujiki4_pairing
 from hk4.h4 import (
-    LM,
-    L2,
-    M2,
     OMEGA,
     TWIST,
-    W,
     H4Class,
     _sym2_gram,
     boundary_value,
@@ -34,7 +30,13 @@ from hk4.lattices import U2
 from hk4.rationals import Q, RatPoly, divisors, is_integer
 
 small_rats = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-QDUAL = H4Class(qdual=1)
+L2, LM, M2, QDUAL = H4Class(l2=1), H4Class(lm=1), H4Class(m2=1), H4Class(qdual=1)
+W = RatPoly((Q(0), Q(1)))  # the unknown w, as a polynomial
+
+
+def plus(x, y):
+    """Test-only sum of two classes by coordinates; the engine builds each class whole."""
+    return H4Class(*(a + b for a, b in zip(x.coords(), y.coords())))
 
 
 def h4_classes():
@@ -57,7 +59,7 @@ class TestPairing:
     def test_sigma_square_value(self):
         # <(1/2) lm + w (q-dual - (25/2) lm), same> = 1/2 + (525/2) w^2
         for w in (Q(0), Q(1, 5), Q(2, 5), Q(1), Q(-3, 5)):
-            eta = H4Class(lm=Q(1, 2)) + H4Class(lm=-Q(25, 2), qdual=1).scale(w)
+            eta = plus(H4Class(lm=Q(1, 2)), H4Class(lm=-Q(25, 2), qdual=1).scale(w))
             assert h4_pair(eta, eta) == Q(1, 2) + Q(525, 2) * w * w
 
     @given(h4_classes(), h4_classes())
@@ -68,7 +70,7 @@ class TestPairing:
     @given(h4_classes(), h4_classes(), h4_classes(), small_rats)
     @settings(max_examples=80)
     def test_bilinear(self, a, b, c, t):
-        left = h4_pair(a + b.scale(t), c)
+        left = h4_pair(plus(a, b.scale(t)), c)
         assert left == h4_pair(a, c) + t * h4_pair(b, c)
 
     def test_oracle_equivalence_with_fujiki4(self):
@@ -189,7 +191,7 @@ class TestBoundaryWitness:
         assert boundary_value(LM, OMEGA) == 2
         assert boundary_value(QDUAL, OMEGA) == 0
         for w in (Q(0), Q(1, 5), Q(2)):
-            eta = H4Class(lm=Q(1, 2)) - H4Class(lm=-Q(25, 2), qdual=1).scale(w)
+            eta = plus(H4Class(lm=Q(1, 2)), H4Class(lm=-Q(25, 2), qdual=1).scale(-w))
             assert boundary_value(eta, OMEGA) == 1 + 25 * w
 
     def test_nontrivial_witness(self):
@@ -215,13 +217,13 @@ class TestResultantMachinery:
         assert resultant(p, q2, Q(0)) == (4 - 2) * (4 - 3)
 
     def test_primitive_integer_form(self):
-        p = RatPoly((0, 0, Q(-525, 7), Q(20, 7), Q(92, 7)))
+        p = RatPoly((0, 0, -1050, 40, 184))
         prim, k = primitive_integer_form(p)
         assert k == 2
         assert prim == RatPoly((-525, 20, 92))
 
     def test_primitive_integer_form_makes_the_leading_coefficient_positive(self):
-        prim, k = primitive_integer_form(RatPoly((Q(525, 2), Q(-10), Q(-46))))
+        prim, k = primitive_integer_form(RatPoly((525, -20, -92)))
         assert (prim, k) == (RatPoly((-525, 20, 92)), 0)
         assert all(type(c) is Fraction for c in prim.coeffs)
 
@@ -273,13 +275,22 @@ class TestPlaneVerdictIsDerived:
         assert res["status"] == "SAT"
         assert _verify_plane_exit_code(capsys) == 1
 
+    def test_a_root_that_does_not_back_substitute_makes_it_sat(self, monkeypatch, capsys):
+        # no integer root, and the quadratics agree: only the back-substitution can turn it
+        monkeypatch.setattr(h4, "root_scan", lambda c0, c1, c2: ([], [Q(1, 2)]))
+        res = lagrangian_plane_certificate()
+        assert res["quadratic"] == res["quadratic_resultant"] and res["integer_roots"] == []
+        assert [b["consistent"] for b in res["back_substitution"]] == [False]
+        assert res["status"] == "SAT"
+        assert _verify_plane_exit_code(capsys) == 1
+
     def test_a_resultant_quadratic_that_differs_makes_it_sat(self, monkeypatch, capsys):
         real = h4.resultant
 
         def shifted(p, q, zero):
             r = real(p, q, zero)
-            # only the last resultant of the chain, over Q[x], has rational coefficients
-            return r + 1 if type(r.coefficient(0)) is Fraction else r
+            # only the last resultant of the chain, over Z[x], has scalar coefficients
+            return r + 1 if type(r.coefficient(0)) is not RatPoly else r
 
         monkeypatch.setattr(h4, "resultant", shifted)
         res = lagrangian_plane_certificate()
@@ -293,7 +304,7 @@ class TestClassesAffineInW:
     """Coordinates may be polynomials in w; the pairings are then the polynomials in w."""
 
     def test_polynomial_coordinates_are_kept(self):
-        eta = H4Class(lm=Q(1, 2)) + TWIST.scale(W)
+        eta = plus(H4Class(lm=Q(1, 2)), TWIST.scale(W))
         assert eta.lm == RatPoly((Q(1, 2), Q(-25, 2)))
         assert eta.qdual == W and type(eta.l2) is RatPoly
 
@@ -303,15 +314,15 @@ class TestClassesAffineInW:
         for _ in range(20):
             x0, y0, x1, y1 = (H4Class(*(Q(rng.randint(-9, 9), rng.randint(1, 5))
                                         for _ in range(4))) for _ in range(4))
-            x, y = x0 + x1.scale(W), y0 + y1.scale(W)
+            x, y = plus(x0, x1.scale(W)), plus(y0, y1.scale(W))
             pair, bv = h4_pair(x, y), boundary_value(x)
             assert pair.degree <= 2 and bv.degree <= 1
             for w in (Q(-2), Q(0), Q(1, 5), Q(7, 3)):
-                assert pair(w) == h4_pair(x0 + x1.scale(w), y0 + y1.scale(w))
-                assert bv(w) == boundary_value(x0 + x1.scale(w))
+                assert pair(w) == h4_pair(plus(x0, x1.scale(w)), plus(y0, y1.scale(w)))
+                assert bv(w) == boundary_value(plus(x0, x1.scale(w)))
 
     def test_an_intersection_matrix_that_depends_on_w_raises(self, monkeypatch):
-        monkeypatch.setattr(h4, "TWIST", TWIST + L2)
+        monkeypatch.setattr(h4, "TWIST", plus(TWIST, L2))
         with pytest.raises(AssertionError, match="M_\\[S\\] must not depend on w"):
             contracted_surface_certificate()
 
@@ -372,9 +383,9 @@ class TestSigmaSplit:
         # the two modeled classes always add up to the class of the surface lm,
         # and Sigma_1 . (Sigma_1 + Sigma_2) = Sigma_1 . lm = 1 for every w
         for w in (Q(0), Q(1, 5), Q(7, 5)):
-            s1 = H4Class(lm=Q(1, 2)) + H4Class(lm=-Q(25, 2), qdual=1).scale(-w)
-            s2 = H4Class(lm=Q(1, 2)) + H4Class(lm=-Q(25, 2), qdual=1).scale(w)
-            assert (s1 + s2).coords() == LM.coords()
+            s1 = plus(H4Class(lm=Q(1, 2)), H4Class(lm=-Q(25, 2), qdual=1).scale(-w))
+            s2 = plus(H4Class(lm=Q(1, 2)), H4Class(lm=-Q(25, 2), qdual=1).scale(w))
+            assert plus(s1, s2).coords() == LM.coords()
             assert h4_pair(s1, LM) == 1
 
 

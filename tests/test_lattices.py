@@ -130,6 +130,33 @@ class TestPairIsTheDenseSum:
             QuadLattice(((0, bad), (bad, 0)))
 
 
+class TestQIsPairOnTheDiagonal:
+    """q sums the entries on and above the diagonal; the definition is pair(v, v)."""
+
+    @pytest.mark.parametrize("kind", sorted(COORDINATES))
+    @given(data=st.data())
+    @settings(max_examples=100)
+    def test_random_grams(self, kind, data):
+        gram, v, _ = data.draw(gram_and_vectors(COORDINATES[kind]))
+        lat = QuadLattice(gram)
+        value, defined = lat.q(v), lat.pair(v, v)
+        assert type(value) is type(defined) and value == defined
+
+    @pytest.mark.parametrize("kind", sorted(COORDINATES))
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_the_engine_lattices(self, kind, data):
+        from hk4.h4 import H4
+
+        for lat in (U, U2, H4):
+            v = data.draw(st.lists(COORDINATES[kind], min_size=lat.rank, max_size=lat.rank))
+            value, defined = lat.q(v), lat.pair(v, v)
+            assert type(value) is type(defined) and value == defined
+
+    def test_u_sums_one_term(self):
+        assert U._upper == ((0, 1, 2),)
+
+
 class TestHyperbolicPairNormalize:
     def test_already_normalized(self):
         n = hyperbolic_pair_normalize(0, 0, 1)
@@ -164,6 +191,16 @@ class TestHyperbolicPairNormalize:
                 assert (again["sign_flip"], again["shift"]) == (False, 0)
                 assert again["gamma"] == n["gamma"]
 
+    @given(st.integers(-10**12, 10**12), st.integers(-10**6, 10**6).filter(bool))
+    @settings(max_examples=300)
+    def test_the_shift_lands_in_the_window(self, q_m, q_lm):
+        # the docstring's proof: 1 - p <= q_m - 2pk <= p, with no check left in the engine
+        n = hyperbolic_pair_normalize(0, q_m, q_lm)
+        p = abs(q_lm)
+        assert n["q_lm"] == p and n["sign_flip"] == (q_lm < 0)
+        assert -p < n["q_m"] == q_m + 2 * n["shift"] * p <= p
+        assert n["gamma"] == Q(n["q_m"], p)
+
 
 class TestReflection:
     def test_swaps_l_and_m(self):
@@ -187,6 +224,22 @@ class TestReflection:
             reflection_about((1, 1))  # q = 2
         with pytest.raises(ValueError):
             reflection_about((-2, 2))  # q = -8
+
+
+class TestReflectionIsItsDefinition:
+    """reflection_about(e) takes q(., e) once; the definition is v + U.pair(v, e) * e."""
+
+    @pytest.mark.parametrize("e", [(-1, 1), (1, -1)])
+    @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
+    @settings(max_examples=100)
+    def test_matches_the_definition(self, e, t, u):
+        c = U.pair((t, u), e)
+        assert reflection_about(e)((t, u)) == (t + c * e[0], u + c * e[1])
+
+    @pytest.mark.parametrize("v", [(), (1,), (1, 0, 0)])
+    def test_a_vector_of_another_rank_raises(self, v):
+        with pytest.raises(ValueError, match="rank"):
+            reflection_about((-1, 1))(v)
 
 
 class TestPrimeExceptional:

@@ -27,6 +27,7 @@ from hk4.classifier import (
     QOption,
     TraceEntry,
     classify,
+    gamma_search,
     sqrt_gate,
 )
 from hk4.fujiki import ADMISSIBLE_288AX, RRPolynomial, rr_from_cx_ax, rr_lagrangian_form
@@ -121,17 +122,25 @@ RR = (st.builds(rr_lagrangian_form, st.integers(1, 4))
       | st.builds(lambda c_ax: rr_from_cx_ax(*c_ax),  # the pairs with a rational root
                   st.sampled_from([(3, Fraction(25, 32)), (9, Fraction(27, 32)),
                                    (Fraction(1, 2), Fraction(3, 4))])))
-#: Small a with the A_X that pass their sqrt gate, for b-windows of at most 36 candidates.
-GATED = [(a, sqrt_gate(a)) for a in (1, 3, 4, 9, 12, 25, 36) if sqrt_gate(a)]
+def b_window(a, A_X):
+    """The (first m, p, q) of the b-window that `gamma_search` hands to a trace block."""
+    window = []
+    gamma_search(a, A_X, window)
+    return tuple(window)
+
+
+#: Small a with the b-windows of the A_X that pass their sqrt gate, of at most 36 candidates.
+GATED = [(a, [b_window(a, ax) for ax in sqrt_gate(a)]) for a in (1, 3, 4, 9, 12, 25, 36)
+         if sqrt_gate(a)]
 
 
 @st.composite
 def kill_traces(draw):
     """Kill traces with rows of every stage, each stored string adversarial text."""
-    a, passing = draw(st.sampled_from(GATED))
+    a, windows = draw(st.sampled_from(GATED))
     texts = st.lists(TEXT, max_size=3).map(tuple)
     q_kills = st.lists(st.tuples(st.integers(1, 9), TEXT, TEXT), max_size=3).map(tuple)
-    blocks = st.lists(st.tuples(st.sampled_from(passing), TEXT, texts, q_kills), max_size=3)
+    blocks = st.lists(st.tuples(st.sampled_from(windows), TEXT, texts, q_kills), max_size=3)
     gate = st.lists(st.sampled_from(ADMISSIBLE_288AX), max_size=3).map(tuple)
     return KillTrace(a, draw(gate), draw(texts), draw(TEXT), tuple(draw(blocks)))
 
@@ -218,7 +227,8 @@ class TestAgainstTheJsonDumpsOracle:
     @pytest.mark.parametrize("wrap", [lambda t: t, lambda t: {"k": [t, {"t": t}]}])
     def test_every_stage_with_cells_that_need_escaping(self, wrap):
         trace = KillTrace(4, (225, 240), ('"\\', "é\n"), "\x00😀",
-                          ((Fraction(25, 32), "\ud800</", ("\t", "0"), ((1, "EVEN", '"'),)),))
+                          ((b_window(4, Fraction(25, 32)), "\ud800</", ("\t", "0"),
+                            ((1, "EVEN", '"'),)),))
         assert {row.stage for row in trace} == {
             "sqrt_gate", "restrict", "gamma_search", "admissible_qlm"}
         assert dumps_canonical(to_jsonable(wrap(trace))) == oracle(wrap(trace))
