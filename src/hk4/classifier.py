@@ -240,7 +240,7 @@ def gamma_search(a: int, A_X: Q, window: Optional[list] = None) -> list[Classifi
     are not listed here: the window's (first m, p, q) go to `window`, from
     which `KillTrace.runs` walks it again when the trace is written or read.
     """
-    A_X = Q(A_X)
+    A_X = A_X if type(A_X) is Q else Q(A_X)
     beta = sqrt_rational(Q(8 * a * A_X.numerator, A_X.denominator))
     if beta is None:
         raise ValueError("gamma_search requires sqrt(2aA_X) rational; run sqrt_gate first")
@@ -285,7 +285,7 @@ def admissible_qlm(a: int, A_X: Q, killed: Optional[list] = None) -> dict[int, Q
     T = 0, 1, 2 and the even model T = 0, 2, 4, each as D * P_RR(T) % D.
     Fractions (c_X and `rr_from_cx_ax`) are built only for admitted q.
     """
-    A_X = Q(A_X)
+    A_X = A_X if type(A_X) is Q else Q(A_X)
     r = sqrt_rational(Q(2 * a * A_X.numerator, A_X.denominator))
     if r is None:
         raise ValueError("admissible_qlm requires sqrt(2aA_X) rational; run sqrt_gate first")

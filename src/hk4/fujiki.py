@@ -141,17 +141,17 @@ def guan_gate(t) -> frozenset[Q]:
 
     Scans the exact admissible set {225/288} union {N/288 : 240 <= N <= 262};
     the unique hit over all such t is t = 1/8 with A_X = 25/32.  In integers,
-    with A_X = N/288 and t = num/den, 4*A_X - t = (N*den - 72*num)/(72*den),
-    so the test is (N*den - 72*num) % (72*den) == 0.
+    with A_X = N/288 and t = num/den, 4*A_X - t = (N*den - 72*num)/(72*den).
 
-    Lemma: that congruence holds modulo den as well, so den | 72*num, and as
-    num/den is in lowest terms, den | 72.  A den that does not divide 72
-    admits no N, and the scan is skipped.
+    Lemma: 72*den | N*den - 72*num gives den | 72*num, and as num/den is in
+    lowest terms, den | 72.  A den that does not divide 72 admits no N, and
+    the scan is skipped; for den | 72, dividing by den leaves the test
+    N = 72*t (mod 72), where 72*t = (72/den)*num is an integer below 24.
     """
     num, den = (t if type(t) is Q else Q(t)).as_integer_ratio()  # a Fraction is read, not rebuilt
     if not (0 <= num and 3 * num < den):
         raise ValueError("guan_gate requires t in [0, 1/3)")
     if 72 % den:
         return frozenset()
-    mod, off = 72 * den, 72 * num
-    return frozenset([ax for n, ax in _ADMISSIBLE_PAIRS if (n * den - off) % mod == 0])
+    r = 72 // den * num
+    return frozenset([ax for n, ax in _ADMISSIBLE_PAIRS if n % 72 == r])

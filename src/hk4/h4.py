@@ -459,8 +459,8 @@ def sigma_split_certificate() -> dict:
                 f"integrality: Sigma_1^2 = {_value_text(sq1, p, d, 4)[1]} and "
                 f"Sigma_1.Sigma_2 = {_value_text(cross4, p, d, 4)[1]} are not both integers"
             )
-        sign, text = _value_text(bv2, p, d, 2)
-        if sign < 0:
+        value, text = _value_text(bv2, p, d, 2)
+        if value < 0:
             kills.append(f"witness: integral(Sigma_2 omega^2) = {text} < 0")
         candidates.append({"w": w, "kills": kills, "killed": bool(kills)})
     all_killed = all(c["killed"] for c in candidates)
