@@ -21,9 +21,9 @@ from .rationals import Q, RatPoly, is_integer, ratio_to_string
 ADMISSIBLE_288AX: tuple[int, ...] = (225,) + tuple(range(240, 263))
 
 #: The admissible A_X values themselves, N/288 for N in ADMISSIBLE_288AX, and the
-#: pairs (N, N/288) that ``guan_gate`` tests.
+#: pairs (N mod 72, N/288) that ``guan_gate`` tests.
 ADMISSIBLE_AX: tuple[Q, ...] = tuple(Q(n, 288) for n in ADMISSIBLE_288AX)
-_ADMISSIBLE_PAIRS = tuple(zip(ADMISSIBLE_288AX, ADMISSIBLE_AX))
+_ADMISSIBLE_RESIDUES = tuple((n % 72, ax) for n, ax in zip(ADMISSIBLE_288AX, ADMISSIBLE_AX))
 
 
 def a_from_fujiki(n: int, c_X, q_lm) -> Q:
@@ -154,4 +154,4 @@ def guan_gate(t) -> frozenset[Q]:
     if 72 % den:
         return frozenset()
     r = 72 // den * num
-    return frozenset([ax for n, ax in _ADMISSIBLE_PAIRS if n % 72 == r])
+    return frozenset([ax for n, ax in _ADMISSIBLE_RESIDUES if n == r])

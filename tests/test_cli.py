@@ -342,15 +342,17 @@ class TestReportCommand:
         exe = shutil.which(f"python{version}")
         if exe is None:
             pytest.skip(f"python{version} is not on PATH")
+        # a pyenv shim runs the version PYENV_VERSION names; other executables ignore it
+        env = dict(os.environ, PYENV_VERSION=version)
         probe = subprocess.run([exe, "-c", "import sys; print('%d.%d' % sys.version_info[:2])"],
-                               capture_output=True, text=True, timeout=60)
+                               capture_output=True, text=True, env=env, timeout=60)
         if probe.returncode != 0 or probe.stdout.strip() != version:
             reason = (probe.stderr.strip().splitlines() or [probe.stdout.strip()])[0]
             pytest.skip(f"python{version} at {exe} does not run: {reason}")
         out = tmp_path / "report.json"
         src = os.path.dirname(os.path.dirname(hk4.__file__))
         res = subprocess.run([exe, "-m", "hk4", "report", "--json", str(out)], capture_output=True,
-                             text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+                             text=True, env=dict(env, PYTHONPATH=src), timeout=120)
         assert res.returncode == 0, res.stderr
         assert hashlib.sha256(out.read_bytes()).hexdigest() == REPORT_SHA256
 
