@@ -4,7 +4,7 @@ Exit-code contract: 0 = run completed and every expected verdict reproduced;
 1 = a certificate diverged from its expected value; 2 = usage error or
 malformed input; 3 = scenario precondition violation (q(l) != 0, q(l, m) = 0,
 or a not a positive integer); 141 = stdout was closed before the output was
-written (``hk4 classify --a 1000 | head -1``), see ``guard_stdout``.  Every
+written (``hk4 classify --a 1000 | head -1``), see ``main``.  Every
 outside input (arguments, scenario file, overrides, Betti data, the --json
 path) is parsed at one boundary that raises ``InputError``, and ``main`` alone
 turns it into one ``error:`` line and the exit code.  These inputs are read
@@ -155,7 +155,8 @@ def _bott_table() -> dict:
     grid = {(q, d): ledger.bott_p2(q, d) for q in (0, 1, 2) for d in range(-4, 5)}
     serre_ok = all(grid[q, d] == grid[2 - q, -d][::-1] for q, d in grid)  # h^p = h^(2-p) dual
     table = {f"q={q},d={d}": list(grid[q, d]) for q, d in grid if abs(d) <= 2}
-    return {"table": table, "serre_duality_ok": serre_ok}
+    nonnegative = all(min(h) >= 0 for h in grid.values())
+    return {"table": table, "serre_duality_ok": serre_ok, "nonnegative": nonnegative}
 
 
 def _chi_table_fields(t: dict) -> dict:
@@ -185,7 +186,11 @@ CERTIFICATES: dict[str, Callable[[], dict]] = {
     "nefcone-plane": lambda: h4.lagrangian_plane_certificate(),
     "contract-surface": lambda: h4.contracted_surface_certificate(),
     "sigma-split": lambda: h4.sigma_split_certificate(),
-    "segre": _certificate(lambda: ledger.segre_certificate(), claim=lambda s: s["rank"] == 4),
+    # the cofactor and the fraction-free determinant are independent methods that must agree
+    "segre": _certificate(
+        lambda: ledger.segre_certificate(),
+        claim=lambda s: s["rank"] == 4 and s["det_cofactor"] == s["det_fraction_free"],
+    ),
     "koszul": _certificate(
         lambda: ledger.koszul_counts(),
         fields=_keys("ideal_LM", "ideal_L2M2", "h1_ideal_L2M2", "restricted_L2M2",
@@ -212,7 +217,8 @@ CERTIFICATES: dict[str, Callable[[], dict]] = {
         claim=lambda v: all(v[k] for k in ("swaps_l_m", "negates_e", "involution_on_sample",
                                            "preserves_q_on_sample")),
     ),
-    "bott": _certificate(_bott_table, claim=lambda v: v["serre_duality_ok"]),
+    "bott": _certificate(_bott_table, claim=lambda v: v["serre_duality_ok"] and v["nonnegative"],
+                         fields=_keys("table", "serre_duality_ok")),
     "chi-table": _certificate(
         lambda: ledger.chi_table(),
         claim=lambda t: all(2 * e["chi"] == (pq + 3) * (pq + 2)
@@ -508,26 +514,6 @@ def _run(args) -> int:
     return EXIT_OK if suite["all_expected_verdicts_reproduced"] else EXIT_DIVERGED
 
 
-def guard_stdout(run: Callable[[], int]) -> int:
-    """``run()`` and a final flush of stdout; a reader that closed stdout early gives 141.
-
-    Python ignores SIGPIPE, so writing to a closed pipe raises BrokenPipeError.
-    It is caught here, without a traceback, and stdout is pointed at
-    os.devnull so that the flush at interpreter exit does not fail again.
-    The process-wide SIGPIPE handling is left alone, since ``main`` also runs
-    in process.  Each entry point (``main`` and the scripts) calls this once.
-    """
-    try:
-        code = run()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return EXIT_CLOSED_STDOUT
-    return code
-
-
 @functools.cache
 def _parser() -> _Parser:
     parser = _Parser(prog="hk4", description="Exact-arithmetic certification suite for "
@@ -559,11 +545,21 @@ def _parser() -> _Parser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
-        return guard_stdout(lambda: _run(args))
+        code = _run(_parser().parse_args(argv))
+        sys.stdout.flush()
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except BrokenPipeError:
+        # A reader closed stdout early; Python ignores SIGPIPE, so the write raised.  Exit 141
+        # without a traceback, with stdout pointed at os.devnull so that the flush at
+        # interpreter exit does not fail again.  The process-wide SIGPIPE handling is left
+        # alone, since main also runs in process.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

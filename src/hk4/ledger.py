@@ -133,8 +133,8 @@ def segre_row(i: int) -> tuple[int, ...]:
 def _det_fraction_free(rows) -> int:
     """Bareiss fraction-free determinant of an integer matrix.
 
-    A deliberately independent second method: ``segre_certificate`` checks it
-    against the cofactor expansion ``det_cofactor``.
+    A deliberately independent second method: the ``segre`` certificate's
+    claim checks it against the cofactor expansion ``det_cofactor``.
     """
     m = [list(r) for r in rows]
     n = len(m)
@@ -165,8 +165,6 @@ def segre_certificate() -> dict:
     rows = tuple(segre_row(i) for i in range(8, 12))
     d_cof = det_cofactor(rows)
     d_ff = _det_fraction_free(rows)
-    if d_cof != d_ff:
-        raise AssertionError("determinant methods disagree")
     return {
         "matrix": rows,
         "determinant": d_cof,
@@ -207,8 +205,6 @@ def bott_p2(q: int, d: int) -> tuple[int, int, int]:
     h1 = _h0_o(d) - rank
     chi = 3 * _chi_o(d - 1) - _chi_o(d)
     h2 = chi - h0 + h1
-    if min(h0, h1, h2) < 0:
-        raise AssertionError(f"negative cohomology dimension {(h0, h1, h2)} for q=1, d={d}")
     return (h0, h1, h2)
 
 

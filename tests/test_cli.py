@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -42,7 +43,7 @@ K3SQ = {
 }
 
 #: sha256 of the file written by ``hk4 scenario PATH --json OUT`` (the same bytes go to
-#: stdout): the three ``scripts/scenario_examples.py`` documents, an n = 2 document
+#: stdout): the three documents committed under ``scenarios/``, an n = 2 document
 #: with ``overrides.a = 1``, which runs all 15 certificates, one with ``overrides.a = 64``,
 #: the slowest of the documents that run six, and the principal case at n = 200.
 SCENARIO_SHA256 = {
@@ -53,10 +54,10 @@ SCENARIO_SHA256 = {
     "a64": "eb37e242a3ed34722c0acdeae2a0d99923915ccd6921b14d771d0561f6683457",
     "principal_n200": "386b6cf384096a70a0ed78d81d12a953f3c7b381af57adc2e4595f5109fd80da",
 }
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SCENARIO_DOCS = {
-    "hyperbolic_cx3": K3SQ,
-    "hyperbolic_cx9": dict(K3SQ, overrides={"c_X": "9"}),
-    "dim10_cx945": dict(K3SQ, n=5, overrides={"c_X": "945"}),
+    **{name: json.loads((SCENARIOS / f"{name}.json").read_text())
+       for name in ("hyperbolic_cx3", "hyperbolic_cx9", "dim10_cx945")},
     "a1": dict(K3SQ, overrides={"a": 1}),
     "a64": dict(K3SQ, overrides={"a": 64}),
     "principal_n200": dict(K3SQ, n=200, overrides={"a": "1"}),
@@ -686,6 +687,25 @@ class TestExpectationsReadOncePerSuite:
         assert len(calls) == 2
 
 
+class TestABrokenInvariantFailsTheClaim:
+    """The segre and bott invariants are part of their claims: broken, they FAIL without a raise."""
+
+    @pytest.mark.parametrize("name, attr, mutant", [
+        ("segre", "_det_fraction_free", lambda real: lambda rows: real(rows) + 1),
+        # Serre-symmetric and outside the reported |d| <= 2, so only non-negativity can catch it
+        ("bott", "bott_p2", lambda real: lambda q, d: (-1, 0, -1) if (q, abs(d)) == (1, 3)
+         else real(q, d)),
+    ])
+    def test_verify_exits_1_with_the_computed_values(self, monkeypatch, name, attr, mutant):
+        keys = set(run_certificate(name, {})["values"])
+        monkeypatch.setattr(ledger, attr, mutant(getattr(ledger, attr)))
+        res = run_certificate(name, {})
+        assert res["result"] == "FAIL" and res["values"]["status"] == "FAIL"
+        assert set(res["values"]) == keys
+        code, out, err = run_main("verify", name)
+        assert (code, err) == (1, "") and f"{name}: FAIL" in out and "raised" not in out
+
+
 class TestARaisingCertificateIsAFail:
     """An engine function that raises fails its certificate; the others are reported unchanged."""
 
@@ -861,22 +881,17 @@ class TestFixedInputsBuiltOnce:
         assert cli._guan_scan_points() is points
 
 
-SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "scripts")
-
-
 class TestClosedStdout:
-    """A reader that closes stdout early gets exit 141 and no traceback, from every entry point."""
+    """A reader that closes stdout early gets exit 141 and no traceback, from each command."""
 
     @pytest.mark.parametrize("argv", [
         ["-m", "hk4", "classify", "--a", "1000"],
         ["-m", "hk4", "report"],
-        [os.path.join(SCRIPTS, "classification_table.py")],
-        [os.path.join(SCRIPTS, "scenario_examples.py"), "SCENARIOS"],
+        ["-m", "hk4", "scenario", str(SCENARIOS / "hyperbolic_cx3.json")],
     ])
     def test_exit_141_without_traceback(self, tmp_path, argv):
         import hk4
 
-        argv = [str(tmp_path / "scenarios") if a == "SCENARIOS" else a for a in argv]
         env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hk4.__file__)))
         read_end, write_end = os.pipe()
         os.close(read_end)  # closed before the child writes anything
@@ -887,55 +902,3 @@ class TestClosedStdout:
             os.close(write_end)
         assert res.returncode == 141, res.stderr
         assert "Traceback" not in res.stderr and "BrokenPipe" not in res.stderr, res.stderr
-
-
-class TestScenarioExamplesArguments:
-    """scripts/scenario_examples.py takes one optional OUTDIR and parses its options first."""
-
-    @staticmethod
-    def run_script(tmp_path, *args):
-        import hk4
-
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hk4.__file__)))
-        return subprocess.run([sys.executable, os.path.join(SCRIPTS, "scenario_examples.py"), *args],
-                              capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
-
-    def test_help_prints_usage_and_writes_nothing(self, tmp_path):
-        res = self.run_script(tmp_path, "--help")
-        assert res.returncode == 0, res.stderr
-        assert res.stdout.startswith("usage: ") and "outdir" in res.stdout
-        assert list(tmp_path.iterdir()) == []
-
-    def test_unknown_option_is_a_usage_error_and_writes_nothing(self, tmp_path):
-        res = self.run_script(tmp_path, "--bogus")
-        assert res.returncode == 2
-        assert res.stdout == "" and "usage: " in res.stderr and "Traceback" not in res.stderr
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("args, outdir", [((), "scenarios"), (("out",), "out")])
-    def test_writes_the_three_scenarios_into_outdir(self, tmp_path, args, outdir):
-        res = self.run_script(tmp_path, *args)
-        assert res.returncode == 0, res.stderr
-        assert [p.name for p in tmp_path.iterdir()] == [outdir]
-        assert sorted(p.name for p in (tmp_path / outdir).iterdir()) == [
-            "dim10_cx945.json", "hyperbolic_cx3.json", "hyperbolic_cx9.json"]
-        assert res.stdout.count("\n") == 3
-
-    def test_a_directory_named_like_a_scenario_file_is_one_error_line(self, tmp_path):
-        (tmp_path / "out" / "hyperbolic_cx3.json").mkdir(parents=True)
-        res = self.run_script(tmp_path, "out")
-        assert res.returncode == 2
-        assert res.stdout == ""
-        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
-        assert [p.name for p in (tmp_path / "out").iterdir()] == ["hyperbolic_cx3.json"]
-
-    @pytest.mark.parametrize("outdir", ["afile/sub", "afile", "missing/sub"])
-    def test_unusable_outdir_is_one_error_line_and_writes_nothing(self, tmp_path, outdir):
-        # under a regular file, a regular file itself, and under a missing parent
-        (tmp_path / "afile").write_text("x")
-        res = self.run_script(tmp_path, outdir)
-        assert res.returncode == 2
-        assert res.stdout == ""
-        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1, res.stderr
-        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
-        assert (tmp_path / "afile").read_text() == "x"

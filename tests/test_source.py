@@ -85,8 +85,8 @@ def test_no_unused_imports():
 
 
 ROOT = Path(__file__).resolve().parent.parent
-#: Everything a command, script or benchmark runs; the benchmark's own smoke test is a test.
-CALLERS = SOURCES + sorted((ROOT / "scripts").glob("*.py")) + sorted(
+#: Everything a command or benchmark runs; the benchmark's own smoke test is a test.
+CALLERS = SOURCES + sorted(
     p for p in (ROOT / "perfbench").glob("*.py") if p.name != "test_smoke.py"
 )
 #: Reached from outside the walked sources: argparse calls ``error`` on a usage error.
